@@ -23,13 +23,14 @@ from . import adversaries as adv
 from .classical import (
     DisjParams,
     NeRrrParams,
+    OneOutOfTwoInstance,
     OneOutOfTwoParams,
     disj_rrr_run,
     disj_rrr_soundness_exact,
     ne_rrr_exact,
     one_out_of_two_exact,
 )
-from .codes import CodeSpec, encode_all
+from .codes import CodeSpec, encode_all, grid_of
 from .core import BitString, InstanceKind, RandomSource, Verdict, sample_instance
 from .field import agreement_count, poly_eval, s_polynomial
 from .harness import ExperimentConfig, build_plan, hoeffding_half_width
@@ -105,7 +106,8 @@ def crit_1_one_out_of_two(seed: int) -> tuple[bool, str]:
         x1, x2, y = sample_instance(
             InstanceKind.ONE_OUT_OF_TWO_TRIPLE, 48, RandomSource(seed, 100 + t)
         )
-        worst48 = min(worst48, one_out_of_two_exact(x1, x2, y, p48))
+        inst = OneOutOfTwoInstance.encode(x1, x2, y, p48)
+        worst48 = min(worst48, one_out_of_two_exact(inst, p48))
     ok = ok and worst48 >= Fraction(2, 3)
     return ok, (
         f"min exact success: n=8 exhaustive {worst} ({float(worst):.4f}), "
@@ -120,7 +122,8 @@ def crit_2_ne_completeness(seed: int) -> tuple[bool, str]:
     for t in range(100):
         x, y = sample_instance(InstanceKind.NE_PAIR, 64, RandomSource(seed, 200 + t))
         msg = honest.message(x, y, params, RandomSource(seed, 299))
-        if ne_rrr_exact(x, y, msg, params) != 1:
+        gx, gy = grid_of(params.spec, x), grid_of(params.spec, y)
+        if ne_rrr_exact(gx, gy, msg, params) != 1:
             return False, f"pair {t} not accepted with certainty"
     return True, "exact acceptance = 1 on all 100 honest unequal pairs"
 
@@ -132,6 +135,7 @@ def crit_3_ne_soundness(seed: int) -> tuple[bool, str]:
     m = params.m_cols
     c_min = params.distance_threshold
     x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(seed, 300))
+    gx = grid_of(params.spec, x)
     bound = Fraction(2, 3)
     best = Fraction(0)
     best_uv = None
@@ -140,7 +144,7 @@ def crit_3_ne_soundness(seed: int) -> tuple[bool, str]:
         for u in range(total + 1):
             v = total - u
             msg = adv.ne_tamper_message(x, x, u, v, params)
-            acc = ne_rrr_exact(x, x, msg, params)
+            acc = ne_rrr_exact(gx, gx, msg, params)
             if acc > best:
                 best, best_uv = acc, (u, v)
             if acc > bound:
@@ -148,7 +152,7 @@ def crit_3_ne_soundness(seed: int) -> tuple[bool, str]:
     rnd_best = Fraction(0)
     for t in range(200):
         msg = adv.random_ne_message(params, RandomSource(seed, 400 + t))
-        rnd_best = max(rnd_best, ne_rrr_exact(x, x, msg, params))
+        rnd_best = max(rnd_best, ne_rrr_exact(gx, gx, msg, params))
     five = best**5
     ok = not violations and rnd_best <= bound and five <= bound**5
     detail = (

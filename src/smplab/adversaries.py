@@ -34,14 +34,11 @@ def ne_tamper_message(
     m = params.m_cols
     if u < 0 or v < 0 or u + v > m:
         raise ValueError("need u, v >= 0 and u + v <= m")
-    base = row(grid_of(params.spec, x), row_choice)
-    r_bits = list(base.bits)
-    s_bits = list(base.bits)
-    for pos in range(u):
-        r_bits[pos] ^= 1
-    for pos in range(u, u + v):
-        s_bits[pos] ^= 1
-    return NeMessage(row_choice, BitString(tuple(r_bits)), BitString(tuple(s_bits)))
+    base = row(grid_of(params.spec, x), row_choice).array
+    r_bits, s_bits = base.copy(), base.copy()
+    r_bits[:u] ^= 1
+    s_bits[u : u + v] ^= 1
+    return NeMessage(row_choice, BitString(r_bits), BitString(s_bits))
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ class NeArbitrary:
 def random_ne_message(params: NeRrrParams, rng: RandomSource) -> NeMessage:
     g = rng.generator()
     k = int(g.integers(1, params.a_rows + 1))
-    r = BitString(tuple(int(b) for b in g.integers(0, 2, size=params.m_cols)))
-    s = BitString(tuple(int(b) for b in g.integers(0, 2, size=params.m_cols)))
+    r = BitString(g.integers(0, 2, size=params.m_cols))
+    s = BitString(g.integers(0, 2, size=params.m_cols))
     return NeMessage(k, r, s)
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import CodeSpec, best_row, column, grid_of, row, row_distances
+from .codes import CodeSpec, GridCodeword, best_row, column, grid_of, row, row_distances
 from .core import (
     BitString,
     Message,
@@ -78,23 +78,37 @@ def _check_promise(x1: BitString, x2: BitString, y: BitString) -> int:
     return 1 if first else 2
 
 
+@dataclass(frozen=True)
+class OneOutOfTwoInstance:
+    """A promise triple encoded once: the three codeword grids and Alice's
+    deterministic row, none of which depend on the players' coins."""
+
+    g1: GridCodeword
+    g2: GridCodeword
+    gy: GridCodeword
+    j: int  # Alice's row: the first qualifying row of g1 against g2
+
+    @staticmethod
+    def encode(
+        x1: BitString, x2: BitString, y: BitString, params: OneOutOfTwoParams
+    ) -> "OneOutOfTwoInstance":
+        _check_promise(x1, x2, y)
+        g1, g2 = grid_of(params.spec, x1), grid_of(params.spec, x2)
+        return OneOutOfTwoInstance(g1, g2, grid_of(params.spec, y), best_row(g1, g2))
+
+
 def one_out_of_two_run(
-    x1: BitString,
-    x2: BitString,
-    y: BitString,
+    inst: OneOutOfTwoInstance,
     params: OneOutOfTwoParams,
     rng: RandomSource,
 ) -> tuple[OneOutOfTwoVerdict, Transcript]:
-    _check_promise(x1, x2, y)
     k = params.k
-    g1, g2 = grid_of(params.spec, x1), grid_of(params.spec, x2)
-    gy = grid_of(params.spec, y)
     gen = rng.generator()
 
     i = int(gen.integers(1, k + 1))  # Bob's uniform column
-    b_i = column(gy, i)
-    j = best_row(g1, g2)  # Alice's deterministic row
-    a1, a2 = row(g1, j), row(g2, j)
+    b_i = column(inst.gy, i)
+    j = inst.j
+    a1, a2 = row(inst.g1, j), row(inst.g2, j)
 
     transcript = Transcript(
         alice=Message("classical", _index_bits(k) + 2 * k, (j, a1, a2)),
@@ -102,9 +116,9 @@ def one_out_of_two_run(
         merlin=None,
         protocol_type="RR",
     )
-    e1, e2 = a1.bits[i - 1], a2.bits[i - 1]
+    e1, e2 = a1.array[i - 1], a2.array[i - 1]
     if e1 != e2:
-        t = 1 if b_i.bits[j - 1] == e1 else 2
+        t = 1 if b_i.array[j - 1] == e1 else 2
     else:
         t = 1 if gen.integers(0, 2) == 0 else 2
     verdict = (
@@ -113,18 +127,13 @@ def one_out_of_two_run(
     return verdict, transcript
 
 
-def one_out_of_two_exact(
-    x1: BitString, x2: BitString, y: BitString, params: OneOutOfTwoParams
-) -> Fraction:
+def one_out_of_two_exact(inst: OneOutOfTwoInstance, params: OneOutOfTwoParams) -> Fraction:
     """Exact success probability, enumerating Bob's column choice.
 
     On columns where Alice's rows differ the referee is always right; on the
     rest he flips a coin, giving (k + d_j) / 2k for row distance d_j.
     """
-    _check_promise(x1, x2, y)
-    g1, g2 = grid_of(params.spec, x1), grid_of(params.spec, x2)
-    j = best_row(g1, g2)
-    d_j = int(row_distances(g1, g2)[j - 1])
+    d_j = int(row_distances(inst.g1, inst.g2)[inst.j - 1])
     k = params.k
     return Fraction(k + d_j, 2 * k)
 
@@ -198,18 +207,16 @@ def _ne_message_valid(msg: NeMessage, params: NeRrrParams) -> bool:
 
 
 def ne_rrr_run(
-    x: BitString,
-    y: BitString,
-    merlin,
+    gx: GridCodeword,
+    gy: GridCodeword,
+    msg: NeMessage,
     params: NeRrrParams,
     rng: RandomSource,
 ) -> tuple[Verdict, Transcript]:
-    """Run all repetitions with fresh player coins; accept iff every round
-    accepts.  A malformed prover message rejects immediately, never errors."""
-    if x.n != params.n or y.n != params.n:
-        raise ValueError("input length mismatch")
-    msg = merlin.message(x, y, params, rng.derive(0))
-    gx, gy = grid_of(params.spec, x), grid_of(params.spec, y)
+    """Run all repetitions with fresh player coins on the encoded pair; accept
+    iff every round accepts.  The prover's message is fixed by the instance
+    (strategies are deterministic), so it is an argument.  A malformed prover
+    message rejects immediately, never errors."""
     m = params.m_cols
     gen = rng.derive(1).generator()
 
@@ -222,6 +229,9 @@ def ne_rrr_run(
         merlin_msg = Message(
             "classical", _index_bits(params.a_rows) + 2 * m, (msg.k_row, msg.r_row, msg.s_row)
         )
+        # rows too close to prove x != y fail every round; no coins involved
+        if hamming_distance(msg.r_row, msg.s_row) < params.distance_threshold:
+            verdict = Verdict.REJECT
     for _ in range(params.repetitions):
         i = int(gen.integers(1, m + 1))
         j = int(gen.integers(1, m + 1))
@@ -235,37 +245,29 @@ def ne_rrr_run(
             )
         if verdict is Verdict.REJECT:
             continue
-        if col_x.bits[msg.k_row - 1] != msg.r_row.bits[i - 1]:
+        if col_x.array[msg.k_row - 1] != msg.r_row.array[i - 1]:
             verdict = Verdict.REJECT
-        elif col_y.bits[msg.k_row - 1] != msg.s_row.bits[j - 1]:
-            verdict = Verdict.REJECT
-        elif hamming_distance(msg.r_row, msg.s_row) < params.distance_threshold:
+        elif col_y.array[msg.k_row - 1] != msg.s_row.array[j - 1]:
             verdict = Verdict.REJECT
     return verdict, transcript
 
 
 def ne_rrr_exact(
-    x: BitString, y: BitString, msg: NeMessage, params: NeRrrParams
+    gx: GridCodeword, gy: GridCodeword, msg: NeMessage, params: NeRrrParams
 ) -> Fraction:
-    """Exact single-round acceptance of a fixed prover message, enumerating
-    both players' column choices.  Raise to params.repetitions for the
-    all-rounds probability."""
+    """Exact single-round acceptance of a fixed prover message over both
+    players' independent uniform column choices: the fraction of columns i
+    where the claimed row of C(x) is true, times that of columns j for C(y).
+    Raise to params.repetitions for the all-rounds probability."""
     if not _ne_message_valid(msg, params):
         return Fraction(0)
     if hamming_distance(msg.r_row, msg.s_row) < params.distance_threshold:
         return Fraction(0)
-    gx, gy = grid_of(params.spec, x), grid_of(params.spec, y)
-    true_x = row(gx, msg.k_row)
-    true_y = row(gy, msg.k_row)
+    k = msg.k_row - 1
+    agree_x = int(np.count_nonzero(msg.r_row.array == gx.cells[k]))
+    agree_y = int(np.count_nonzero(msg.s_row.array == gy.cells[k]))
     m = params.m_cols
-    accepted = 0
-    for i in range(m):
-        if msg.r_row.bits[i] != true_x.bits[i]:
-            continue
-        for j in range(m):
-            if msg.s_row.bits[j] == true_y.bits[j]:
-                accepted += 1
-    return Fraction(accepted, m * m)
+    return Fraction(agree_x * agree_y, m * m)
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +275,30 @@ def ne_rrr_exact(
 
 
 def eq_rr_run(
-    x: BitString, y: BitString, spec: CodeSpec, rng: RandomSource
+    gx: GridCodeword, gy: GridCodeword, rng: RandomSource
 ) -> tuple[Verdict, Transcript]:
-    gx, gy = grid_of(spec, x), grid_of(spec, y)
+    """One round on the encoded pair: Alice's random row of C(x) against
+    Bob's random column of C(y), compared where they cross."""
+    rows, cols = gx.rows, gx.cols
     gen = rng.generator()
-    j = int(gen.integers(1, spec.rows + 1))
-    i = int(gen.integers(1, spec.cols + 1))
+    j = int(gen.integers(1, rows + 1))
+    i = int(gen.integers(1, cols + 1))
     row_x, col_y = row(gx, j), column(gy, i)
     transcript = Transcript(
-        alice=Message("classical", _index_bits(spec.rows) + spec.cols, (j, row_x)),
-        bob=Message("classical", _index_bits(spec.cols) + spec.rows, (i, col_y)),
+        alice=Message("classical", _index_bits(rows) + cols, (j, row_x)),
+        bob=Message("classical", _index_bits(cols) + rows, (i, col_y)),
         merlin=None,
         protocol_type="RR",
     )
-    same = row_x.bits[i - 1] == col_y.bits[j - 1]
+    same = row_x.array[i - 1] == col_y.array[j - 1]
     return (Verdict.ACCEPT if same else Verdict.REJECT), transcript
 
 
-def eq_rr_exact(x: BitString, y: BitString, spec: CodeSpec) -> Fraction:
+def eq_rr_exact(gx: GridCodeword, gy: GridCodeword) -> Fraction:
     """Exact acceptance: the fraction of grid cells where the encodings agree."""
-    gx, gy = grid_of(spec, x), grid_of(spec, y)
+    cells = gx.cells.size
     d = int((gx.cells != gy.cells).sum())
-    return Fraction(spec.padded_len - d, spec.padded_len)
+    return Fraction(cells - d, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def hadamard_codeword(value: int, s: int) -> BitString:
     """Inner Hadamard encoding of one s-bit symbol (length 2^s)."""
     if not 0 <= value < (1 << s):
         raise ValueError("symbol out of range")
-    return BitString(tuple(int(b) for b in _hadamard_table(s)[value]))
+    return BitString(_hadamard_table(s)[value])
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,11 @@ class CodeSpec:
         exp, log = _gf_tables(self.s)
         # Vandermonde of evaluation points 0..n_rs-1 raised to symbol powers,
         # stored as logs (-1 marks zero) for vectorised field multiplication.
-        pow_log = np.full((self.n_rs, self.n_sym), -1, dtype=np.int64)
         order = (1 << self.s) - 1
-        for alpha in range(self.n_rs):
-            pow_log[alpha, 0] = 0  # alpha^0 = 1, including 0^0
-            for t in range(1, self.n_sym):
-                if alpha != 0:
-                    pow_log[alpha, t] = (t * int(log[alpha])) % order
+        t = np.arange(self.n_sym, dtype=np.int64)
+        pow_log = (log[: self.n_rs, None] * t[None, :]) % order
+        pow_log[0, 1:] = -1  # 0^t = 0 for t >= 1
+        pow_log[:, 0] = 0  # alpha^0 = 1, including 0^0
         had = _hadamard_table(self.s)
         return exp, log, pow_log, had
 
@@ -219,9 +217,9 @@ def encode_all(spec: CodeSpec) -> np.ndarray:
     if spec.n > 16:
         raise ValueError("exhaustive encoding is limited to n <= 16")
     out = np.empty((1 << spec.n, spec.block_len), dtype=np.uint8)
+    shifts = np.arange(spec.n - 1, -1, -1)
     for v in range(1 << spec.n):
-        bits = BitString(tuple((v >> (spec.n - 1 - i)) & 1 for i in range(spec.n)))
-        out[v] = encode_array(spec, bits)
+        out[v] = encode_array(spec, BitString((v >> shifts) & 1))
     return out
 
 
@@ -253,29 +251,33 @@ class GridCodeword:
 
 def grid(codeword: BitString, rows: int, cols: int, spec: CodeSpec | None = None) -> GridCodeword:
     """Pad the codeword with zeros to rows*cols and reshape row-major."""
-    if rows * cols < codeword.n:
+    return _padded_grid(codeword.array, rows, cols, spec)
+
+
+def _padded_grid(bits: np.ndarray, rows: int, cols: int, spec: CodeSpec | None) -> GridCodeword:
+    if rows * cols < bits.size:
         raise ValueError("grid smaller than the codeword")
     flat = np.zeros(rows * cols, dtype=np.uint8)
-    flat[: codeword.n] = codeword.array
+    flat[: bits.size] = bits
     return GridCodeword(flat.reshape(rows, cols), spec)
 
 
 def grid_of(spec: CodeSpec, x: BitString) -> GridCodeword:
-    return grid(encode(spec, x), spec.rows, spec.cols, spec)
+    return _padded_grid(encode_array(spec, x), spec.rows, spec.cols, spec)
 
 
 def row(g: GridCodeword, k: int) -> BitString:
-    """Row k (1-based)."""
+    """Row k (1-based), a view of the read-only grid."""
     if not 1 <= k <= g.rows:
         raise IndexError(f"row {k} out of range 1..{g.rows}")
-    return BitString.from_array(g.cells[k - 1])
+    return BitString(g.cells[k - 1])
 
 
 def column(g: GridCodeword, i: int) -> BitString:
-    """Column i (1-based)."""
+    """Column i (1-based), a view of the read-only grid."""
     if not 1 <= i <= g.cols:
         raise IndexError(f"column {i} out of range 1..{g.cols}")
-    return BitString.from_array(g.cells[:, i - 1])
+    return BitString(g.cells[:, i - 1])
 
 
 def row_distances(g_x: GridCodeword, g_y: GridCodeword) -> np.ndarray:

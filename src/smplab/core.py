@@ -1,21 +1,21 @@
 """Shared vocabulary for the protocol lab.
 
 Inputs are fixed-length bit strings, messages are classical bit payloads or
-handles into the quantum state store, and every source of randomness is a
-counter-based (master seed, stream id) pair so that trials reproduce
-bit-for-bit regardless of scheduling.
+plain descriptors of the quantum states they stand for, and every source of
+randomness is a counter-based (master seed, stream id) pair so that trials
+reproduce bit-for-bit regardless of scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Any
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_ORD_0 = ord("0")
 
 
 class Verdict(Enum):
@@ -45,36 +45,58 @@ class InstanceKind(Enum):
     INTERSECT_PAIR = "intersect_pair"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitString:
-    """Immutable {0,1} string of declared length."""
+    """Immutable {0,1} string: one read-only 1-d uint8 array.
 
-    bits: tuple[int, ...]
+    Built from any 1-d sequence of 0/1 integers or booleans.  A read-only
+    uint8 array, such as a row or column view of a codeword grid, is wrapped
+    without a copy; anything else is copied once and frozen.
+    """
+
+    array: np.ndarray
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        a = np.asarray(self.array)
+        if a.ndim != 1:
+            raise ValueError("bits must form a 1-d sequence")
+        if a.dtype.kind == "b":
+            a = a.view(np.uint8)
+        elif a.dtype.kind not in "iu":
+            if a.size:
+                raise ValueError("bits must be integers 0 or 1")
+            a = a.astype(np.uint8)
+        # Shifting out the low bit leaves every value other than 0 and 1
+        # (negatives included) nonzero.
+        if np.any(a >> 1):
             raise ValueError("bits must be 0 or 1")
+        if a.dtype != np.uint8 or a.flags.writeable:
+            a = a.astype(np.uint8)
+            a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     @property
     def n(self) -> int:
-        return len(self.bits)
+        return self.array.size
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.bits, dtype=np.uint8)
-        a.flags.writeable = False
-        return a
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BitString):
+            return NotImplemented
+        return self.array.tobytes() == other.array.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
 
     @staticmethod
     def from_array(a) -> "BitString":
-        return BitString(tuple(int(b) for b in a))
+        return BitString(a)
 
     @staticmethod
     def from_text(text: str) -> "BitString":
-        return BitString(tuple(int(c) for c in text))
+        return BitString(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ORD_0)
 
     def to_text(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return (self.array + _ORD_0).tobytes().decode("ascii")
 
     def __str__(self) -> str:
         return self.to_text()
@@ -122,7 +144,7 @@ def _splitmix64(z: int) -> int:
 
 @dataclass(frozen=True)
 class Message:
-    """One player's message: classical bits or a quantum state handle.
+    """One player's message: classical bits or a quantum state descriptor.
 
     `length` counts bits for classical payloads and qubits for quantum ones.
     """
@@ -205,7 +227,7 @@ class Transcript:
 
 
 def _random_bitstring(n: int, g: np.random.Generator) -> BitString:
-    return BitString(tuple(int(b) for b in g.integers(0, 2, size=n)))
+    return BitString(g.integers(0, 2, size=n))
 
 
 def sample_instance(kind: InstanceKind, n: int, rng: RandomSource):
@@ -233,16 +255,15 @@ def sample_instance(kind: InstanceKind, n: int, rng: RandomSource):
     if kind is InstanceKind.DISJ_PAIR:
         # Per position, (x_i, y_i) uniform over {(0,0),(0,1),(1,0)}: AND is zero.
         choice = g.integers(0, 3, size=n)
-        x = BitString(tuple(int(c == 2) for c in choice))
-        y = BitString(tuple(int(c == 1) for c in choice))
+        x, y = BitString(choice == 2), BitString(choice == 1)
         return x, y
     if kind is InstanceKind.INTERSECT_PAIR:
         x = _random_bitstring(n, g)
         y = _random_bitstring(n, g)
-        if not any(a and b for a, b in zip(x.bits, y.bits)):
+        if not np.any(x.array & y.array):
             pos = int(g.integers(0, n))
-            xb, yb = list(x.bits), list(y.bits)
+            xb, yb = x.array.copy(), y.array.copy()
             xb[pos] = yb[pos] = 1
-            x, y = BitString(tuple(xb)), BitString(tuple(yb))
+            x, y = BitString(xb), BitString(yb)
         return x, y
     raise ValueError(f"unknown instance kind {kind}")

@@ -23,6 +23,7 @@ from . import adversaries as adv
 from .classical import (
     DisjParams,
     NeRrrParams,
+    OneOutOfTwoInstance,
     OneOutOfTwoParams,
     disj_rrr_run,
     disj_rrr_soundness_exact,
@@ -33,9 +34,9 @@ from .classical import (
     one_out_of_two_exact,
     one_out_of_two_run,
 )
-from .codes import CodeSpec
+from .codes import CodeSpec, grid_of
 from .core import InstanceKind, OneOutOfTwoVerdict, RandomSource, Verdict, sample_instance
-from .qsim import random_state, trace_distance_pure
+from .qsim import fingerprint, random_state, trace_distance_pure
 from .quantum import RrqParams, UqstParams, eq_qq_round_prob, eq_qq_run, qrq_eq_run, rrq_eq_run, uqst_run
 
 PROTOCOL_IDS = (
@@ -158,6 +159,11 @@ CSV_COLUMNS = (
 
 # ---------------------------------------------------------------------------
 # Protocol adapters
+#
+# A plan draws the run's instance and computes once everything it fixes
+# (codeword grids, Alice's row, the prover's deterministic message, closed
+# forms, fingerprints); its closures hand those to the runners, so no trial
+# re-encodes the instance.  Anything cached lives in the plan and goes with it.
 
 
 @dataclass(frozen=True)
@@ -205,16 +211,17 @@ def _plan_eq_rr(config: ExperimentConfig) -> RunPlan:
     spec = CodeSpec.create(config.n)
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
+    gx, gy = grid_of(spec, x), grid_of(spec, y)
 
     def trial(rng):
-        verdict, _ = eq_rr_run(x, y, spec, rng)
+        verdict, _ = eq_rr_run(gx, gy, rng)
         return verdict is Verdict.ACCEPT, {}
 
     def lengths():
-        _, tr = eq_rr_run(x, y, spec, RandomSource(config.seed, 7))
+        _, tr = eq_rr_run(gx, gy, RandomSource(config.seed, 7))
         return tr.lengths()
 
-    return RunPlan(trial, lambda: eq_rr_exact(x, y, spec), lengths, "RR", _echo(x, y))
+    return RunPlan(trial, lambda: eq_rr_exact(gx, gy), lengths, "RR", _echo(x, y))
 
 
 def _plan_one_of_two(config: ExperimentConfig) -> RunPlan:
@@ -226,17 +233,18 @@ def _plan_one_of_two(config: ExperimentConfig) -> RunPlan:
         raise ConfigError("one-of-two needs a promise triple instance")
     x1, x2, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     truth = OneOutOfTwoVerdict.FIRST_EQUAL if x1 == y else OneOutOfTwoVerdict.SECOND_EQUAL
+    inst = OneOutOfTwoInstance.encode(x1, x2, y, params)
 
     def trial(rng):
-        verdict, _ = one_out_of_two_run(x1, x2, y, params, rng)
+        verdict, _ = one_out_of_two_run(inst, params, rng)
         return verdict is truth, {}
 
     def lengths():
-        _, tr = one_out_of_two_run(x1, x2, y, params, RandomSource(config.seed, 7))
+        _, tr = one_out_of_two_run(inst, params, RandomSource(config.seed, 7))
         return tr.lengths()
 
     return RunPlan(
-        trial, lambda: one_out_of_two_exact(x1, x2, y, params), lengths, "RR", _echo(x1, x2, y)
+        trial, lambda: one_out_of_two_exact(inst, params), lengths, "RR", _echo(x1, x2, y)
     )
 
 
@@ -256,17 +264,19 @@ def _plan_ne_rrr(config: ExperimentConfig) -> RunPlan:
     )
     kind = _instance_kind(config, default_kind)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
+    gx, gy = grid_of(params.spec, x), grid_of(params.spec, y)
+    # ne strategies are deterministic, so one message serves every trial.
+    msg = strategy.message(x, y, params, RandomSource(config.seed, 7))
 
     def trial(rng):
-        verdict, _ = ne_rrr_run(x, y, strategy, params, rng)
+        verdict, _ = ne_rrr_run(gx, gy, msg, params, rng)
         return verdict is Verdict.ACCEPT, {}
 
     def exact():
-        msg = strategy.message(x, y, params, RandomSource(config.seed, 7))
-        return ne_rrr_exact(x, y, msg, params) ** params.repetitions
+        return ne_rrr_exact(gx, gy, msg, params) ** params.repetitions
 
     def lengths():
-        _, tr = ne_rrr_run(x, y, strategy, params, RandomSource(config.seed, 7))
+        _, tr = ne_rrr_run(gx, gy, msg, params, RandomSource(config.seed, 7))
         return tr.lengths()
 
     return RunPlan(trial, exact, lengths, "RRR", _echo(x, y))
@@ -279,16 +289,17 @@ def _plan_eq_qq(config: ExperimentConfig) -> RunPlan:
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     reps = config.repetitions
+    p = eq_qq_round_prob(x, y, spec)
 
     def trial(rng):
-        _, verdict, _ = eq_qq_run(x, y, spec, reps, rng)
+        verdict, _ = eq_qq_run(x, y, p, spec, reps, rng)
         return verdict is Verdict.ACCEPT, {}
 
     def exact():
-        return eq_qq_round_prob(x, y, spec) ** reps
+        return p**reps
 
     def lengths():
-        _, _, tr = eq_qq_run(x, y, spec, reps, RandomSource(config.seed, 7))
+        _, tr = eq_qq_run(x, y, p, spec, reps, RandomSource(config.seed, 7))
         return tr.lengths()
 
     return RunPlan(trial, exact, lengths, "QQ", _echo(x, y))
@@ -341,22 +352,21 @@ def _plan_qrq(config: ExperimentConfig) -> RunPlan:
     params = _uqst_params(config, fdim)
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
+    f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
     strategy = _strategy(config, adv.UqstHonest())
     if isinstance(strategy, adv.ProtocolResolved):
         if strategy.variant != "QrqCrossFingerprint":
             raise ConfigError(f"{strategy.variant} is not a qrq adversary")
-        from .qsim import fingerprint
-
-        strategy = adv.ProductCopies(fingerprint(spec, x))
+        strategy = adv.ProductCopies(f_x)
     _require_strategy_api(strategy, "blocks", "qrq-eq")
 
     def trial(rng):
-        verdict, _ = qrq_eq_run(x, y, spec, params, strategy, rng, config.repetitions)
+        verdict, _ = qrq_eq_run(x, y, f_x, f_y, params, strategy, rng, config.repetitions)
         return verdict is Verdict.ACCEPT, {}
 
     def lengths():
         _, tr = qrq_eq_run(
-            x, y, spec, params, strategy, RandomSource(config.seed, 7), config.repetitions
+            x, y, f_x, f_y, params, strategy, RandomSource(config.seed, 7), config.repetitions
         )
         return tr.lengths()
 
@@ -373,6 +383,7 @@ def _plan_rrq(config: ExperimentConfig) -> RunPlan:
     )
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
+    f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
     strategy = _strategy(config, adv.UqstHonest())
     if isinstance(strategy, adv.ProtocolResolved):
         if strategy.variant != "RrqOrthogonalJunk":
@@ -381,11 +392,11 @@ def _plan_rrq(config: ExperimentConfig) -> RunPlan:
     _require_strategy_api(strategy, "blocks", "rrq-eq")
 
     def trial(rng):
-        verdict, _ = rrq_eq_run(x, y, spec, params, strategy, rng)
+        verdict, _ = rrq_eq_run(x, y, f_x, f_y, params, strategy, rng)
         return verdict is Verdict.ACCEPT, {}
 
     def lengths():
-        _, tr = rrq_eq_run(x, y, spec, params, strategy, RandomSource(config.seed, 7))
+        _, tr = rrq_eq_run(x, y, f_x, f_y, params, strategy, RandomSource(config.seed, 7))
         return tr.lengths()
 
     return RunPlan(trial, lambda: None, lengths, "RRQ", _echo(x, y))
@@ -448,11 +459,17 @@ def build_plan(config: ExperimentConfig) -> RunPlan:
 
 
 def _run_range(config_json: dict, start: int, stop: int) -> tuple[int, dict[str, float]]:
+    """Pool worker entry: build the plan from the config, run trials [start, stop)."""
     config = ExperimentConfig.from_json(config_json)
-    plan = build_plan(config)
+    return _run_trials(build_plan(config), config.seed, start, stop)
+
+
+def _run_trials(
+    plan: RunPlan, seed: int, start: int, stop: int
+) -> tuple[int, dict[str, float]]:
     accepts = 0
     extras: dict[str, float] = {}
-    base = RandomSource(config.seed)
+    base = RandomSource(seed)
     for t in range(start, stop):
         ok, extra = plan.trial(base.derive(_TRIAL_STREAM, t))
         accepts += ok
@@ -476,7 +493,7 @@ def run(config: ExperimentConfig) -> TrialReport:
     if config.mode in ("monte_carlo", "both"):
         T = config.trials
         if workers <= 1 or T < 2 * workers:
-            accepts, extras = _run_range(config.to_json(), 0, T)
+            accepts, extras = _run_trials(plan, config.seed, 0, T)
         else:
             bounds = [(T * w) // workers for w in range(workers + 1)]
             accepts = 0

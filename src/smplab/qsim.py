@@ -13,8 +13,6 @@ for pure states it equals sqrt(1 - F^2).
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -444,31 +442,3 @@ def product_measurement_stats(
         for j, pb in enumerate(p2):
             out[i, j] = float(np.real(np.trace(np.kron(pa, pb) @ rho)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# State store backing quantum transcript payloads
-
-
-class StateStore:
-    """Append-only store mapping integer handles to simulated states."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counter = itertools.count()
-        self._states: dict[int, object] = {}
-
-    def put(self, state) -> int:
-        with self._lock:
-            handle = next(self._counter)
-            self._states[handle] = state
-        return handle
-
-    def get(self, handle: int):
-        return self._states[handle]
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-
-DEFAULT_STORE = StateStore()

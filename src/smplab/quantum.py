@@ -20,7 +20,6 @@ import numpy as np
 from .codes import CodeSpec, encode_array
 from .core import BitString, Message, RandomSource, Transcript, Verdict
 from .qsim import (
-    DEFAULT_STORE,
     MixedEnsemble,
     ProductState,
     StateVec,
@@ -58,25 +57,27 @@ def eq_qq_round_prob(x: BitString, y: BitString, spec: CodeSpec) -> Fraction:
 def eq_qq_run(
     x: BitString,
     y: BitString,
+    round_prob: Fraction,
     spec: CodeSpec,
     repetitions: int,
     rng: RandomSource,
-) -> tuple[Fraction, Verdict, Transcript]:
-    """Closed-form per-round acceptance plus a sampled decision over
-    `repetitions` independent swap tests (accept iff all rounds accept)."""
+) -> tuple[Verdict, Transcript]:
+    """A sampled decision over `repetitions` independent swap tests, each
+    accepting with the instance's closed-form `round_prob`
+    (eq_qq_round_prob); accept iff all rounds accept."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    p = eq_qq_round_prob(x, y, spec)
+    p = float(round_prob)
     g = rng.generator()
-    accept = all(g.random() < float(p) for _ in range(repetitions))
+    accept = all(g.random() < p for _ in range(repetitions))
     qubits = _qubits(2 * spec.block_len)
     transcript = Transcript(
-        alice=Message("quantum", qubits, DEFAULT_STORE.put(("fingerprint", x))),
-        bob=Message("quantum", qubits, DEFAULT_STORE.put(("fingerprint", y))),
+        alice=Message("quantum", qubits, ("fingerprint", x)),
+        bob=Message("quantum", qubits, ("fingerprint", y)),
         merlin=None,
         protocol_type="QQ",
     )
-    return p, (Verdict.ACCEPT if accept else Verdict.REJECT), transcript
+    return (Verdict.ACCEPT if accept else Verdict.REJECT), transcript
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +274,17 @@ def uqst_run(
 def qrq_eq_run(
     x: BitString,
     y: BitString,
-    spec: CodeSpec,
+    f_x: StateVec,
+    f_y: StateVec,
     params: UqstParams,
     merlin,
     rng: RandomSource,
     repetitions: int = 1,
 ) -> tuple[Verdict, Transcript]:
-    """Alice sends her fingerprint as a quantum message; Bob plays the
-    classical sender of the state transfer for his fingerprint; the referee
-    recovers a copy and swap-tests it against Alice's.  Accept means x = y."""
-    from .qsim import fingerprint  # local import keeps module load light
-
-    f_x = fingerprint(spec, x)
-    f_y = fingerprint(spec, y)
+    """Alice sends her fingerprint f_x as a quantum message; Bob plays the
+    classical sender of the state transfer for his fingerprint f_y; the
+    referee recovers a copy and swap-tests it against Alice's.  Accept means
+    x = y.  The fingerprints are fixed by the instance, so they are arguments."""
     if params.n != f_x.dim:
         raise ValueError("transfer params must match the fingerprint dimension")
     qubits = _qubits(f_x.dim)
@@ -296,11 +295,9 @@ def qrq_eq_run(
         outcome = uqst_run(f_y, params, merlin, sub)
         if transcript is None:
             transcript = Transcript(
-                alice=Message("quantum", qubits, DEFAULT_STORE.put(f_x)),
+                alice=Message("quantum", qubits, ("fingerprint", x)),
                 bob=Message("classical", outcome.diagnostics.get("alice_bits", 0), None),
-                merlin=Message(
-                    "quantum", params.m_copies * qubits, DEFAULT_STORE.put(("blocks", y))
-                ),
+                merlin=Message("quantum", params.m_copies * qubits, ("blocks", y)),
                 protocol_type="QRQ",
             )
         if not outcome.accepted:
@@ -349,18 +346,16 @@ class RrqParams:
 def rrq_eq_run(
     x: BitString,
     y: BitString,
-    spec: CodeSpec,
+    f_x: StateVec,
+    f_y: StateVec,
     params: RrqParams,
     merlin,
     rng: RandomSource,
 ) -> tuple[Verdict, Transcript]:
     """Split the prover's blocks by a uniform balanced partition, verify one
-    half against Alice's transmitted projection and the other against Bob's;
-    reject on any failed test or an empty survivor set on either half."""
-    from .qsim import fingerprint
-
-    f_x = fingerprint(spec, x)
-    f_y = fingerprint(spec, y)
+    half against Alice's transmitted projection of f_x and the other against
+    Bob's of f_y; reject on any failed test or an empty survivor set on
+    either half."""
     if params.n != f_x.dim:
         raise ValueError("params must match the fingerprint dimension")
     v_a = haar_subspace(params.n, params.a, rng.derive(_STREAM_SHARED_A))
@@ -377,9 +372,7 @@ def rrq_eq_run(
         bob=Message(
             "classical", described_b.bit_length if described_b else 0, described_b
         ),
-        merlin=Message(
-            "quantum", params.m_copies * qubits, DEFAULT_STORE.put(("blocks", x))
-        ),
+        merlin=Message("quantum", params.m_copies * qubits, ("blocks", x)),
         protocol_type="RRQ",
     )
     if described_a is None or described_b is None:

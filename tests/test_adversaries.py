@@ -6,6 +6,7 @@ import pytest
 
 from smplab import adversaries as adv
 from smplab.classical import DisjParams, NeRrrParams, ne_rrr_exact
+from smplab.codes import grid_of
 from smplab.core import BitString, InstanceKind, RandomSource, sample_instance
 from smplab.field import agreement_count, poly_eval, s_polynomial
 from smplab.qsim import (
@@ -22,11 +23,12 @@ DISJ = DisjParams.create(64, sample_scale=0.0232)
 
 class TestNeTamper:
     X, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(1))
+    GX = grid_of(NE.spec, X)
 
     def test_zero_tamper_never_accepted(self):
         msg = adv.ne_tamper_message(self.X, self.X, 0, 0, NE)
         assert msg.r_row == msg.s_row
-        assert ne_rrr_exact(self.X, self.X, msg, NE) == 0
+        assert ne_rrr_exact(self.GX, self.GX, msg, NE) == 0
 
     def test_rows_at_distance_u_plus_v(self):
         from smplab.core import hamming_distance
@@ -38,7 +40,7 @@ class TestNeTamper:
     def test_threshold_boundary_formula(self):
         m, c = NE.m_cols, NE.distance_threshold
         msg = adv.ne_tamper_message(self.X, self.X, c, 0, NE)
-        acc = ne_rrr_exact(self.X, self.X, msg, NE)
+        acc = ne_rrr_exact(self.GX, self.GX, msg, NE)
         assert acc == Fraction(m - c, m) <= Fraction(2, 3)
 
     def test_acceptance_monotone_along_rays(self):
@@ -50,7 +52,7 @@ class TestNeTamper:
                 if u + v < c or u + v > m:
                     continue
                 acc = ne_rrr_exact(
-                    self.X, self.X, adv.ne_tamper_message(self.X, self.X, u, v, NE), NE
+                    self.GX, self.GX, adv.ne_tamper_message(self.X, self.X, u, v, NE), NE
                 )
                 if prev is not None:
                     assert acc <= prev

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.adversaries import (
     DisjHonest,
@@ -17,6 +19,7 @@ from smplab.classical import (
     DisjParams,
     NeMessage,
     NeRrrParams,
+    OneOutOfTwoInstance,
     OneOutOfTwoParams,
     disj_rrr_run,
     disj_rrr_soundness_exact,
@@ -28,13 +31,14 @@ from smplab.classical import (
     one_out_of_two_exact,
     one_out_of_two_run,
 )
-from smplab.codes import grid_of, row_distances
+from smplab.codes import grid_of, row, row_distances
 from smplab.core import (
     BitString,
     InstanceKind,
     OneOutOfTwoVerdict,
     RandomSource,
     Verdict,
+    hamming_distance,
     sample_instance,
 )
 from smplab.field import UniPoly, poly_eval
@@ -44,36 +48,64 @@ def mc(fn, trials, seed):
     return sum(fn(RandomSource(seed).derive(1, t)) for t in range(trials)) / trials
 
 
+def grids(spec, *inputs):
+    return tuple(grid_of(spec, x) for x in inputs)
+
+
+def ne_rrr_exact_by_enumeration(gx, gy, msg, params):
+    """Reference for ne_rrr_exact: count accepted (i, j) column pairs one by one."""
+    m = params.m_cols
+    valid = (
+        1 <= msg.k_row <= params.a_rows and msg.r_row.n == m and msg.s_row.n == m
+    )
+    if not valid or hamming_distance(msg.r_row, msg.s_row) < params.distance_threshold:
+        return Fraction(0)
+    true_x, true_y = row(gx, msg.k_row), row(gy, msg.k_row)
+    accepted = 0
+    for i in range(m):
+        if msg.r_row.array[i] != true_x.array[i]:
+            continue
+        for j in range(m):
+            if msg.s_row.array[j] == true_y.array[j]:
+                accepted += 1
+    return Fraction(accepted, m * m)
+
+
 class TestOneOutOfTwo:
     PARAMS = OneOutOfTwoParams.create(16)
 
     def _instance(self, seed):
         return sample_instance(InstanceKind.ONE_OUT_OF_TWO_TRIPLE, 16, RandomSource(seed))
 
+    def _encoded(self, seed):
+        x1, x2, y = self._instance(seed)
+        return x1, x2, y, OneOutOfTwoInstance.encode(x1, x2, y, self.PARAMS)
+
     def test_promise_violation_refused(self):
         x1, x2, y = self._instance(0)
         with pytest.raises(ValueError):
-            one_out_of_two_run(x1, x1, x1, self.PARAMS, RandomSource(1))
+            OneOutOfTwoInstance.encode(x1, x1, x1, self.PARAMS)
         # a y equal to neither input also breaks the promise
         for pos in range(y.n):
-            bits = list(y.bits)
+            bits = y.array.copy()
             bits[pos] ^= 1
-            stranger = BitString(tuple(bits))
+            stranger = BitString(bits)
             if stranger != x1 and stranger != x2:
                 break
         with pytest.raises(ValueError):
-            one_out_of_two_exact(x1, x2, stranger, self.PARAMS)
+            OneOutOfTwoInstance.encode(x1, x2, stranger, self.PARAMS)
 
     def test_exact_formula_boundaries(self):
         # distance d_j in row j gives success (k + d_j) / 2k
-        x1, x2, y = self._instance(3)
+        x1, x2, y, inst = self._encoded(3)
         g1, g2 = grid_of(self.PARAMS.spec, x1), grid_of(self.PARAMS.spec, x2)
         from smplab.codes import best_row
 
         j = best_row(g1, g2)
+        assert inst.j == j
         d = int(row_distances(g1, g2)[j - 1])
         k = self.PARAMS.k
-        assert one_out_of_two_exact(x1, x2, y, self.PARAMS) == Fraction(k + d, 2 * k)
+        assert one_out_of_two_exact(inst, self.PARAMS) == Fraction(k + d, 2 * k)
         assert d >= math.ceil(k / 3)
 
     def test_success_at_least_two_thirds_random_instances(self):
@@ -83,12 +115,13 @@ class TestOneOutOfTwo:
                 x1, x2, y = sample_instance(
                     InstanceKind.ONE_OUT_OF_TWO_TRIPLE, n, RandomSource(seed, 5)
                 )
-                assert one_out_of_two_exact(x1, x2, y, params) >= Fraction(2, 3)
+                inst = OneOutOfTwoInstance.encode(x1, x2, y, params)
+                assert one_out_of_two_exact(inst, params) >= Fraction(2, 3)
 
     def test_referee_always_right_when_entries_differ(self):
         # force Bob's column onto a differing position via exhaustive seeds:
         # whenever the sent row entries differ the answer must be the truth
-        x1, x2, y = self._instance(7)
+        x1, x2, y, inst = self._encoded(7)
         truth = (
             OneOutOfTwoVerdict.FIRST_EQUAL if x1 == y else OneOutOfTwoVerdict.SECOND_EQUAL
         )
@@ -98,21 +131,21 @@ class TestOneOutOfTwo:
         j = best_row(g1, g2)
         r1, r2 = row(g1, j), row(g2, j)
         for t in range(200):
-            verdict, tr = one_out_of_two_run(x1, x2, y, self.PARAMS, RandomSource(11).derive(1, t))
+            verdict, tr = one_out_of_two_run(inst, self.PARAMS, RandomSource(11).derive(1, t))
             i, _ = tr.bob.payload
-            if r1.bits[i - 1] != r2.bits[i - 1]:
+            if r1.array[i - 1] != r2.array[i - 1]:
                 assert verdict is truth
 
     def test_monte_carlo_matches_exact(self):
-        x1, x2, y = self._instance(13)
+        x1, x2, y, inst = self._encoded(13)
         truth = (
             OneOutOfTwoVerdict.FIRST_EQUAL if x1 == y else OneOutOfTwoVerdict.SECOND_EQUAL
         )
-        exact = float(one_out_of_two_exact(x1, x2, y, self.PARAMS))
+        exact = float(one_out_of_two_exact(inst, self.PARAMS))
         trials = 4000
 
         def one(rng):
-            verdict, _ = one_out_of_two_run(x1, x2, y, self.PARAMS, rng)
+            verdict, _ = one_out_of_two_run(inst, self.PARAMS, rng)
             return verdict is truth
 
         p_hat = mc(one, trials, 17)
@@ -126,20 +159,24 @@ class TestNeRrr:
         for seed in range(20):
             x, y = sample_instance(InstanceKind.NE_PAIR, 64, RandomSource(seed))
             msg = honest_ne_message(x, y, self.PARAMS)
-            assert ne_rrr_exact(x, y, msg, self.PARAMS) == 1
-            verdict, _ = ne_rrr_run(x, y, NeHonest(), self.PARAMS, RandomSource(seed, 2))
+            gx, gy = grids(self.PARAMS.spec, x, y)
+            assert ne_rrr_exact(gx, gy, msg, self.PARAMS) == 1
+            assert NeHonest().message(x, y, self.PARAMS, None) == msg
+            verdict, _ = ne_rrr_run(gx, gy, msg, self.PARAMS, RandomSource(seed, 2))
             assert verdict is Verdict.ACCEPT
 
     def test_equal_inputs_honest_shape_rejected_with_certainty(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(31))
         msg = honest_ne_message(x, x, self.PARAMS)
         assert msg.r_row == msg.s_row
-        assert ne_rrr_exact(x, x, msg, self.PARAMS) == 0
-        verdict, _ = ne_rrr_run(x, x, NeHonest(), self.PARAMS, RandomSource(32))
+        (gx,) = grids(self.PARAMS.spec, x)
+        assert ne_rrr_exact(gx, gx, msg, self.PARAMS) == 0
+        verdict, _ = ne_rrr_run(gx, gx, msg, self.PARAMS, RandomSource(32))
         assert verdict is Verdict.REJECT
 
     def test_tamper_acceptance_formula(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(33))
+        (gx,) = grids(self.PARAMS.spec, x)
         m = self.PARAMS.m_cols
         c = self.PARAMS.distance_threshold
         for u, v in [(c, 0), (0, c), (c // 2, c - c // 2), (c + 5, 3), (m, 0)]:
@@ -147,33 +184,38 @@ class TestNeRrr:
             expect = Fraction(m - u, m) * Fraction(m - v, m)
             if u + v < c:
                 expect = Fraction(0)
-            assert ne_rrr_exact(x, x, msg, self.PARAMS) == expect
+            assert ne_rrr_exact(gx, gx, msg, self.PARAMS) == expect
 
     def test_below_threshold_tamper_rejected(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(34))
         msg = ne_tamper_message(x, x, 1, 1, self.PARAMS)
-        assert ne_rrr_exact(x, x, msg, self.PARAMS) == 0
+        (gx,) = grids(self.PARAMS.spec, x)
+        assert ne_rrr_exact(gx, gx, msg, self.PARAMS) == 0
 
     def test_malformed_messages_reject_not_error(self):
         x, y = sample_instance(InstanceKind.NE_PAIR, 64, RandomSource(35))
         good = honest_ne_message(x, y, self.PARAMS)
         bad_index = NeMessage(0, good.r_row, good.s_row)
         bad_len = NeMessage(1, BitString.from_text("01"), good.s_row)
+        gx, gy = grids(self.PARAMS.spec, x, y)
         for bad in (bad_index, bad_len):
-            verdict, _ = ne_rrr_run(x, y, NeArbitrary(bad), self.PARAMS, RandomSource(36))
+            assert NeArbitrary(bad).message(x, y, self.PARAMS, None) == bad
+            verdict, _ = ne_rrr_run(gx, gy, bad, self.PARAMS, RandomSource(36))
             assert verdict is Verdict.REJECT
-            assert ne_rrr_exact(x, y, bad, self.PARAMS) == 0
+            assert ne_rrr_exact(gx, gy, bad, self.PARAMS) == 0
 
     def test_repetitions_multiply(self):
         params5 = NeRrrParams.create(64, repetitions=5)
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(37))
         c = params5.distance_threshold
-        per_round = ne_rrr_exact(x, x, ne_tamper_message(x, x, c, 0, params5), params5)
+        (gx,) = grids(params5.spec, x)
+        msg = NeTamper(c, 0).message(x, x, params5, None)
+        assert msg == ne_tamper_message(x, x, c, 0, params5)
+        per_round = ne_rrr_exact(gx, gx, msg, params5)
         trials = 3000
-        strategy = NeTamper(c, 0)
 
         def one(rng):
-            verdict, _ = ne_rrr_run(x, x, strategy, params5, rng)
+            verdict, _ = ne_rrr_run(gx, gx, msg, params5, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 38)
@@ -183,14 +225,13 @@ class TestNeRrr:
     def test_monte_carlo_matches_exact_tamper(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(39))
         c = self.PARAMS.distance_threshold
-        strategy = NeTamper(c // 2, c - c // 2)
-        exact = float(
-            ne_rrr_exact(x, x, strategy.message(x, x, self.PARAMS, None), self.PARAMS)
-        )
+        msg = NeTamper(c // 2, c - c // 2).message(x, x, self.PARAMS, None)
+        (gx,) = grids(self.PARAMS.spec, x)
+        exact = float(ne_rrr_exact(gx, gx, msg, self.PARAMS))
         trials = 4000
 
         def one(rng):
-            verdict, _ = ne_rrr_run(x, x, strategy, self.PARAMS, rng)
+            verdict, _ = ne_rrr_run(gx, gx, msg, self.PARAMS, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 40)
@@ -200,19 +241,49 @@ class TestNeRrr:
         # the protocol's genuine per-round optimum is the balanced tamper at
         # the distance threshold; nothing in the sweep beats it
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(41))
+        (gx,) = grids(self.PARAMS.spec, x)
         m = self.PARAMS.m_cols
         c = self.PARAMS.distance_threshold
         cap = Fraction(m - c // 2, m) * Fraction(m - (c - c // 2), m)
         for total in range(c, m + 1):
             for u in range(total + 1):
                 msg = ne_tamper_message(x, x, u, total - u, self.PARAMS)
-                assert ne_rrr_exact(x, x, msg, self.PARAMS) <= cap
+                assert ne_rrr_exact(gx, gx, msg, self.PARAMS) <= cap
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_exact_closed_form_matches_enumeration(self, n, data):
+        params = NeRrrParams.create(n)
+        m, a = params.m_cols, params.a_rows
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        gx = grid_of(params.spec, BitString(data.draw(bits)))
+        gy = grid_of(params.spec, BitString(data.draw(bits)))
+        row_bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+        if data.draw(st.booleans()):
+            # a message built from true rows, so agreements are not all chance
+            k = data.draw(st.integers(1, a))
+            flips = data.draw(st.lists(st.integers(0, m - 1), max_size=m))
+            r = gx.cells[k - 1].copy()
+            s = gy.cells[k - 1].copy()
+            r[flips[: len(flips) // 2]] ^= 1
+            s[flips[len(flips) // 2 :]] ^= 1
+            msg = NeMessage(k, BitString(r), BitString(s))
+        else:
+            msg = NeMessage(
+                data.draw(st.integers(0, a + 1)),
+                BitString(data.draw(row_bits)),
+                BitString(data.draw(row_bits)),
+            )
+        assert ne_rrr_exact(gx, gy, msg, params) == ne_rrr_exact_by_enumeration(
+            gx, gy, msg, params
+        )
 
     def test_random_messages_stay_below_two_thirds(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 64, RandomSource(42))
+        (gx,) = grids(self.PARAMS.spec, x)
         for t in range(50):
             msg = random_ne_message(self.PARAMS, RandomSource(43, t))
-            assert ne_rrr_exact(x, x, msg, self.PARAMS) <= Fraction(2, 3)
+            assert ne_rrr_exact(gx, gx, msg, self.PARAMS) <= Fraction(2, 3)
 
 
 class TestEqRrBaseline:
@@ -221,8 +292,9 @@ class TestEqRrBaseline:
 
         spec = CodeSpec.create(16)
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 16, RandomSource(44))
-        assert eq_rr_exact(x, x, spec) == 1
-        verdict, tr = eq_rr_run(x, x, spec, RandomSource(45))
+        (gx,) = grids(spec, x)
+        assert eq_rr_exact(gx, gx) == 1
+        verdict, tr = eq_rr_run(gx, gx, RandomSource(45))
         assert verdict is Verdict.ACCEPT
         assert tr.lengths()["alice"] == tr.lengths()["bob"]
 
@@ -231,12 +303,13 @@ class TestEqRrBaseline:
 
         spec = CodeSpec.create(16)
         x, y = sample_instance(InstanceKind.NE_PAIR, 16, RandomSource(46))
-        exact = float(eq_rr_exact(x, y, spec))
+        gx, gy = grids(spec, x, y)
+        exact = float(eq_rr_exact(gx, gy))
         assert exact <= 1 - spec.min_distance / spec.padded_len + 1e-12
         trials = 4000
 
         def one(rng):
-            verdict, _ = eq_rr_run(x, y, spec, rng)
+            verdict, _ = eq_rr_run(gx, gy, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 47)

@@ -57,6 +57,29 @@ class TestEncoder:
             assert spec.distance_bound >= 1 / 3
             assert spec.min_distance >= math.ceil(spec.block_len / 3)
 
+    def test_vandermonde_logs_match_elementwise_definition(self):
+        for n in (2, 8, 64, 300, 1024, 4096):
+            spec = CodeSpec.create(n)
+            _, log, pow_log, _ = spec._tables
+            order = (1 << spec.s) - 1
+            expect = np.full((spec.n_rs, spec.n_sym), -1, dtype=np.int64)
+            for alpha in range(spec.n_rs):
+                expect[alpha, 0] = 0
+                for t in range(1, spec.n_sym):
+                    if alpha != 0:
+                        expect[alpha, t] = (t * int(log[alpha])) % order
+            assert np.array_equal(pow_log, expect)
+
+    def test_encoded_grid_cells_are_read_only_views(self):
+        spec = CodeSpec.create(8)
+        g = grid_of(spec, BitString.from_text("10110010"))
+        assert not g.cells.flags.writeable
+        assert np.shares_memory(row(g, 2).array, g.cells)
+        assert np.shares_memory(column(g, 3).array, g.cells)
+        assert grid_of(spec, BitString.from_text("10110010")) == grid(
+            encode(spec, BitString.from_text("10110010")), spec.rows, spec.cols
+        )
+
     def test_spec_json(self):
         data = CodeSpec.create(8).to_json()
         assert data["n"] == 8 and data["N"] == 96
@@ -70,7 +93,7 @@ class TestGrid:
         g = grid_of(spec, BitString.from_text("11001010"))
         for j in range(1, g.rows + 1):
             for i in range(1, g.cols + 1):
-                assert row(g, j).bits[i - 1] == column(g, i).bits[j - 1]
+                assert row(g, j).array[i - 1] == column(g, i).array[j - 1]
 
     def test_padding_rule_n12_to_16(self):
         spec = CodeSpec.create(2)  # block length 12

@@ -19,6 +19,19 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString((0, 2, 1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 2), (1, -1), (0.5, 1), (1.0, 0), np.zeros((2, 2), dtype=np.uint8), 1, "01"],
+    )
+    def test_rejects_out_of_range_non_integer_and_non_1d(self, bad):
+        with pytest.raises(ValueError):
+            BitString(bad)
+
+    def test_from_text_rejects_other_characters(self):
+        for text in ("012", "0 1", "01x"):
+            with pytest.raises(ValueError):
+                BitString.from_text(text)
+
     def test_text_round_trip(self):
         assert BitString.from_text("0110").to_text() == "0110"
 
@@ -26,6 +39,38 @@ class TestBitString:
         arr = BitString.from_text("101").array
         with pytest.raises(ValueError):
             arr[0] = 0
+
+    @given(st.lists(st.integers(0, 1), max_size=40))
+    def test_equality_and_hash_agree_across_constructions(self, bits):
+        forms = [
+            BitString.from_text("".join(map(str, bits))),
+            BitString.from_array(np.array(bits, dtype=np.uint8)),
+            BitString(tuple(bits)),
+            BitString(np.array(bits, dtype=bool)),
+            BitString(np.array(bits, dtype=np.int64)),
+        ]
+        for b in forms:
+            assert b == forms[0] and hash(b) == hash(forms[0])
+            assert b.n == len(bits) and b.to_text() == forms[0].to_text()
+            assert b.array.dtype == np.uint8 and b.array.ndim == 1
+            assert not b.array.flags.writeable
+
+    def test_distinct_strings_differ(self):
+        assert BitString.from_text("01") != BitString.from_text("10")
+        assert BitString.from_text("0") != BitString.from_text("00")
+        assert BitString.from_text("01") != "01"
+
+    def test_writeable_source_is_copied(self):
+        src = np.array([0, 1, 1], dtype=np.uint8)
+        b = BitString(src)
+        src[0] = 1
+        assert b.to_text() == "011"
+
+    def test_read_only_view_is_wrapped_without_copy(self):
+        grid = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        grid.flags.writeable = False
+        column = BitString(grid[:, 0])
+        assert np.shares_memory(column.array, grid) and column.to_text() == "01"
 
 
 class TestHamming:
@@ -44,7 +89,7 @@ class TestHamming:
     def test_matches_positional_recount(self, pairs):
         x = BitString(tuple(p[0] for p in pairs))
         y = BitString(tuple(p[1] for p in pairs))
-        recount = sum(1 for a, b in zip(x.bits, y.bits) if a != b)
+        recount = sum(1 for a, b in zip(x.array, y.array) if a != b)
         assert hamming_distance(x, y) == recount
 
 

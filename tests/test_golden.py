@@ -1,0 +1,58 @@
+"""Golden records: the exact JSON line of one small run per protocol.
+
+The lines were captured before bit strings became array-backed and before
+plans encoded each instance once; any change to a record (p-hat, exact value,
+lengths, instance echo) fails here.  A deliberate change to the RNG contract
+updates these lines once, with a note in CHANGES.md.
+"""
+
+import pytest
+
+from smplab.harness import PROTOCOL_IDS, ExperimentConfig, run
+
+GOLDEN = [
+    (
+        dict(protocol="eq-rr", n=16, trials=40, seed=3, mode="both", instance="ne_pair"),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":null,"confidence_beta":0.01,"instance":"ne_pair","mode":"both","n":16,"options":{},"protocol":"eq-rr","repetitions":1,"scale":null,"seed":3,"trials":40,"workers":1},"exact":"29/49","exact_float":0.5918367346938775,"extras":{},"instance":"0000001101101111 0000111000011111","lengths":{"alice":18,"bob":18},"p_hat":0.6,"protocol_type":"RR","within_ci":true}',
+    ),
+    (
+        dict(protocol="one-of-two", n=16, trials=40, seed=3, mode="both"),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"both","n":16,"options":{},"protocol":"one-of-two","repetitions":1,"scale":null,"seed":3,"trials":40,"workers":1},"exact":"5/7","exact_float":0.7142857142857143,"extras":{},"instance":"0000111000011111 0000001101101111 0000001101101111","lengths":{"alice":32,"bob":18},"p_hat":0.725,"protocol_type":"RR","within_ci":true}',
+    ),
+    (
+        dict(protocol="ne-rrr", n=16, trials=40, seed=3, mode="both", instance="eq_pair",
+             adversary={"variant": "NeTamper", "u": 3, "v": 2}, repetitions=2),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":{"u":3,"v":2,"variant":"NeTamper"},"confidence_beta":0.01,"instance":"eq_pair","mode":"both","n":16,"options":{},"protocol":"ne-rrr","repetitions":2,"scale":null,"seed":3,"trials":40,"workers":1},"exact":"1089/2401","exact_float":0.453561016243232,"extras":{},"instance":"0000001101101111 0000001101101111","lengths":{"alice":18,"bob":18,"merlin":32},"p_hat":0.475,"protocol_type":"RRR","within_ci":true}',
+    ),
+    (
+        dict(protocol="eq-qq", n=16, trials=40, seed=3, mode="both", instance="ne_pair",
+             repetitions=2),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":null,"confidence_beta":0.01,"instance":"ne_pair","mode":"both","n":16,"options":{},"protocol":"eq-qq","repetitions":2,"scale":null,"seed":3,"trials":40,"workers":1},"exact":"37249/82944","exact_float":0.4490861304012346,"extras":{},"instance":"0000001101101111 0000111000011111","lengths":{"alice":9,"bob":9},"p_hat":0.4,"protocol_type":"QQ","within_ci":true}',
+    ),
+    (
+        dict(protocol="uqst", n=16, trials=3, seed=3, scale=1 / 3200, options={"a": 4}),
+        '{"ci_half_width":0.9397089413348544,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":3,"trials":3,"workers":1},"exact":null,"exact_float":null,"extras":{"accept_and_far":0.0},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.6666666666666666,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        dict(protocol="qrq-eq", n=4, trials=2, seed=3, scale=1 / 3200),
+        '{"ci_half_width":1.1509037065006824,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":4,"options":{},"protocol":"qrq-eq","repetitions":1,"scale":0.0003125,"seed":3,"trials":2,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0000 0000","lengths":{"alice":7,"bob":1200,"merlin":448},"p_hat":1.0,"protocol_type":"QRQ","within_ci":null}',
+    ),
+    (
+        dict(protocol="rrq-eq", n=4, trials=4, seed=5, options={"m_copies": 16}),
+        '{"ci_half_width":0.8138118153593646,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":4,"options":{"m_copies":16},"protocol":"rrq-eq","repetitions":1,"scale":null,"seed":5,"trials":4,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"1111 1111","lengths":{"alice":768,"bob":768,"merlin":112},"p_hat":0.5,"protocol_type":"RRQ","within_ci":null}',
+    ),
+    (
+        dict(protocol="disj-rrr", n=16, trials=4, seed=3, mode="both", scale=0.0232,
+             options={"alpha": 0.5}),
+        '{"ci_half_width":0.8138118153593646,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"both","n":16,"options":{"alpha":0.5},"protocol":"disj-rrr","repetitions":1,"scale":0.0232,"seed":3,"trials":4,"workers":1},"exact":"57020945437028865614076670011326624048157740070900540379513801/57302359991614086367621939200000000000000000000000000000000000","exact_float":0.9950889534981385,"extras":{},"instance":"0000001100000000 0000010001101111","lengths":{"alice":540,"bob":540,"merlin":42},"p_hat":1.0,"protocol_type":"RRR","within_ci":true}',
+    ),
+]
+
+
+def test_every_protocol_is_pinned():
+    assert sorted(c["protocol"] for c, _ in GOLDEN) == sorted(PROTOCOL_IDS)
+
+
+@pytest.mark.parametrize("fields,line", GOLDEN, ids=[c["protocol"] for c, _ in GOLDEN])
+def test_record_is_byte_identical(fields, line):
+    assert run(ExperimentConfig(workers=1, **fields)).json_line() == line

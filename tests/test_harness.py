@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -108,6 +109,54 @@ class TestRun:
         )
         report = run(cfg)
         assert "accept_and_far" in report.extras or report.p_hat == 0.0
+
+
+class TestOncePerRun:
+    """What the instance fixes is computed when the plan is built, never per trial."""
+
+    ENCODED = (
+        ("eq-rr", {"instance": "ne_pair"}),
+        ("one-of-two", {}),
+        ("ne-rrr", {"instance": "ne_pair"}),
+        ("ne-rrr", {"instance": "eq_pair", "adversary": {"variant": "NeTamper", "u": 7, "v": 0}}),
+        ("eq-qq", {"instance": "ne_pair"}),
+    )
+
+    @staticmethod
+    def _count_calls(monkeypatch, original) -> list:
+        """Wrap `original` at every name a smplab module binds it under."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("smplab") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("protocol,fields", ENCODED)
+    def test_encode_count_independent_of_trials(self, monkeypatch, protocol, fields):
+        import smplab.codes
+
+        calls = self._count_calls(monkeypatch, smplab.codes.encode_array)
+        counts = []
+        for trials in (1, 50):
+            calls.clear()
+            run(ExperimentConfig(protocol=protocol, n=16, trials=trials, seed=4,
+                                 mode="both", workers=1, **fields))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_serial_run_builds_its_plan_once(self, monkeypatch):
+        import smplab.harness
+
+        calls = self._count_calls(monkeypatch, smplab.harness.build_plan)
+        run(dataclasses.replace(BASE, trials=20, workers=1))
+        assert len(calls) == 1
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from smplab.qsim import (
     MixedEnsemble,
     ProductState,
     QuantizedState,
-    StateStore,
     StateVec,
     Subspace,
     bits_for_target,
@@ -101,7 +100,7 @@ class TestFingerprint:
             x, y = sample_instance(InstanceKind.NE_PAIR, 8, RandomSource(seed))
             hx, hy = fingerprint(spec, x), fingerprint(spec, y)
             cx, cy = encode(spec, x), encode(spec, y)
-            matches = sum(1 for a, b in zip(cx.bits, cy.bits) if a == b)
+            matches = sum(1 for a, b in zip(cx.array, cy.array) if a == b)
             assert abs(overlap(hx, hy).real - matches / spec.block_len) < 1e-12
 
     def test_distinct_inputs_overlap_at_most_two_thirds(self):
@@ -333,13 +332,3 @@ class TestEnsembles:
         ens = MixedEnsemble((1.0,), (s1,))
         marg = ens.block_marginal(1)
         assert marg[0][0] == 1.0 and fidelity(marg[0][1], StateVec.basis(2, 1)) == 1
-
-
-class TestStateStore:
-    def test_handles_are_unique_and_resolve(self):
-        store = StateStore()
-        a, b = random_state(2, GEN), random_state(2, GEN)
-        ha, hb = store.put(a), store.put(b)
-        assert ha != hb
-        assert store.get(ha) is a and store.get(hb) is b
-        assert len(store) == 2

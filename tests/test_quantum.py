@@ -45,8 +45,10 @@ def mc(fn, trials, seed):
 class TestEqQq:
     def test_equal_inputs_round_probability_one(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 8, RandomSource(1))
-        p, verdict, tr = eq_qq_run(x, x, SPEC8, 4, RandomSource(2))
+        p = eq_qq_round_prob(x, x, SPEC8)
+        verdict, tr = eq_qq_run(x, x, p, SPEC8, 4, RandomSource(2))
         assert p == 1 and verdict is Verdict.ACCEPT
+        assert tr.alice.payload == ("fingerprint", x)
         assert tr.protocol_type == "QQ"
         assert tr.lengths()["alice"] == tr.lengths()["bob"] == math.ceil(math.log2(2 * SPEC8.block_len))
 
@@ -63,11 +65,12 @@ class TestEqQq:
 
     def test_sampled_decision_matches_round_probability(self):
         x, y = sample_instance(InstanceKind.NE_PAIR, 8, RandomSource(3))
-        p = float(eq_qq_round_prob(x, y, SPEC8))
+        exact = eq_qq_round_prob(x, y, SPEC8)
+        p = float(exact)
         trials = 3000
 
         def one(rng):
-            _, verdict, _ = eq_qq_run(x, y, SPEC8, 1, rng)
+            verdict, _ = eq_qq_run(x, y, exact, SPEC8, 1, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 4)
@@ -208,21 +211,23 @@ class TestQrq:
 
     def test_equal_inputs_accept_with_high_probability(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 8, RandomSource(81))
+        f_x = fingerprint(SPEC8, x)
         trials = 150
 
         def one(rng):
-            verdict, _ = qrq_eq_run(x, x, SPEC8, self.QPAR, UqstHonest(), rng)
+            verdict, _ = qrq_eq_run(x, x, f_x, f_x, self.QPAR, UqstHonest(), rng)
             return verdict is Verdict.ACCEPT
 
         assert mc(one, trials, 82) >= 0.7
 
     def test_distinct_inputs_bounded_by_fingerprint_overlap(self):
         x, y = sample_instance(InstanceKind.NE_PAIR, 8, RandomSource(83))
+        f_x, f_y = fingerprint(SPEC8, x), fingerprint(SPEC8, y)
         closed = float(eq_qq_round_prob(x, y, SPEC8))
         trials = 300
 
         def one(rng):
-            verdict, _ = qrq_eq_run(x, y, SPEC8, self.QPAR, UqstHonest(), rng)
+            verdict, _ = qrq_eq_run(x, y, f_x, f_y, self.QPAR, UqstHonest(), rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 84)
@@ -232,18 +237,20 @@ class TestQrq:
 
     def test_cross_fingerprint_prover_is_caught(self):
         x, y = sample_instance(InstanceKind.NE_PAIR, 8, RandomSource(85))
-        wrong = ProductCopies(fingerprint(SPEC8, x))  # claims to ship f(y)
+        f_x, f_y = fingerprint(SPEC8, x), fingerprint(SPEC8, y)
+        wrong = ProductCopies(f_x)  # claims to ship f(y)
         trials = 200
 
         def one(rng):
-            verdict, _ = qrq_eq_run(x, y, SPEC8, self.QPAR, wrong, rng)
+            verdict, _ = qrq_eq_run(x, y, f_x, f_y, self.QPAR, wrong, rng)
             return verdict is Verdict.REJECT
 
         assert mc(one, trials, 86) >= 0.8
 
     def test_transcript_shape(self):
         x, _ = sample_instance(InstanceKind.EQ_PAIR, 8, RandomSource(87))
-        _, tr = qrq_eq_run(x, x, SPEC8, self.QPAR, UqstHonest(), RandomSource(88))
+        f_x = fingerprint(SPEC8, x)
+        _, tr = qrq_eq_run(x, x, f_x, f_x, self.QPAR, UqstHonest(), RandomSource(88))
         assert tr.protocol_type == "QRQ"
         qubits = math.ceil(math.log2(self.QPAR.n))
         assert tr.lengths() == {
@@ -259,35 +266,38 @@ class TestRrq:
 
     def test_equal_inputs_accept(self):
         x = BitString.from_text("10")
+        f_x = fingerprint(self.SPEC2, x)
         trials = 300
 
         def one(rng):
-            verdict, _ = rrq_eq_run(x, x, self.SPEC2, self.RPAR, UqstHonest(), rng)
+            verdict, _ = rrq_eq_run(x, x, f_x, f_x, self.RPAR, UqstHonest(), rng)
             return verdict is Verdict.ACCEPT
 
         assert mc(one, trials, 89) >= 0.6
 
     def test_distinct_inputs_rejected_more_often(self):
         x, y = BitString.from_text("10"), BitString.from_text("01")
+        f_x, f_y = fingerprint(self.SPEC2, x), fingerprint(self.SPEC2, y)
         trials = 300
 
         def equal_case(rng):
-            verdict, _ = rrq_eq_run(x, x, self.SPEC2, self.RPAR, UqstHonest(), rng)
+            verdict, _ = rrq_eq_run(x, x, f_x, f_x, self.RPAR, UqstHonest(), rng)
             return verdict is Verdict.ACCEPT
 
         def distinct_case(rng):
-            verdict, _ = rrq_eq_run(x, y, self.SPEC2, self.RPAR, UqstHonest(), rng)
+            verdict, _ = rrq_eq_run(x, y, f_x, f_y, self.RPAR, UqstHonest(), rng)
             return verdict is Verdict.ACCEPT
 
         assert mc(distinct_case, trials, 90) <= mc(equal_case, trials, 91) - 0.2
 
     def test_junk_blocks_rejected(self):
         x = BitString.from_text("10")
+        f_x = fingerprint(self.SPEC2, x)
         trials = 300
 
         def one(rng):
             verdict, _ = rrq_eq_run(
-                x, x, self.SPEC2, self.RPAR, UqstFarProduct(1.0, seed=9), rng
+                x, x, f_x, f_x, self.RPAR, UqstFarProduct(1.0, seed=9), rng
             )
             return verdict is Verdict.ACCEPT
 
@@ -295,6 +305,7 @@ class TestRrq:
 
     def test_transcript_shape(self):
         x = BitString.from_text("10")
-        _, tr = rrq_eq_run(x, x, self.SPEC2, self.RPAR, UqstHonest(), RandomSource(93))
+        f_x = fingerprint(self.SPEC2, x)
+        _, tr = rrq_eq_run(x, x, f_x, f_x, self.RPAR, UqstHonest(), RandomSource(93))
         assert tr.protocol_type == "RRQ"
         assert tr.lengths() == self.RPAR.expected_lengths()
