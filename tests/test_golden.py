@@ -1,7 +1,9 @@
 """Golden records: the exact JSON line of one small run per protocol.
 
 The lines were captured before bit strings became array-backed and before
-plans encoded each instance once; any change to a record (p-hat, exact value,
+plans encoded each instance once; the transfer-family lines in REJECT_PATHS
+before the shared block-verification kernel replaced the per-block loops of
+uqst and rrq-eq.  Any change to a record (p-hat, exact value,
 lengths, instance echo) fails here.  A deliberate change to the RNG contract
 updates these lines once, with a note in CHANGES.md.
 """
@@ -48,6 +50,72 @@ GOLDEN = [
     ),
 ]
 
+# Transfer-family runs that reach the reject branches (wrong block count, too
+# few survivors, failed verification test, rejecting repetitions) the single
+# honest uqst line above never reaches.
+REJECT_PATHS = [
+    (
+        "uqst-far",
+        dict(protocol="uqst", n=16, trials=40, seed=3, scale=1 / 3200, options={"a": 4},
+             adversary={"variant": "UqstFarProduct", "gamma": 0.9, "seed": 5}),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":{"gamma":0.9,"seed":5,"variant":"UqstFarProduct"},"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":3,"trials":40,"workers":1},"exact":null,"exact_float":null,"extras":{"accept_and_far":0.025},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.025,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        "uqst-wrong-count",
+        dict(protocol="uqst", n=16, trials=4, seed=3, scale=1 / 3200, options={"a": 4},
+             adversary={"variant": "UqstWrongCount", "count": 63}),
+        '{"ci_half_width":0.8138118153593646,"config":{"adversary":{"count":63,"variant":"UqstWrongCount"},"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":3,"trials":4,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.0,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        "uqst-project-psi",
+        dict(protocol="uqst", n=16, trials=40, seed=3, scale=1 / 3200,
+             options={"a": 4, "referee_mode": "project_psi"}),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4,"referee_mode":"project_psi"},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":3,"trials":40,"workers":1},"exact":null,"exact_float":null,"extras":{"accept_and_far":0.0},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.925,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        "uqst-honest-200",
+        dict(protocol="uqst", n=16, trials=200, seed=4, scale=1 / 3200, options={"a": 4}),
+        '{"ci_half_width":0.11509037065006825,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":4,"trials":200,"workers":1},"exact":null,"exact_float":null,"extras":{"accept_and_far":0.0},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.86,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        "uqst-mixed",
+        dict(protocol="uqst", n=16, trials=40, seed=3, scale=1 / 3200, options={"a": 4},
+             adversary={"variant": "UqstMixed", "seed": 2,
+                        "components": [{"weight": 0.5, "gamma": 0.0},
+                                       {"weight": 0.5, "gamma": 0.9}]}),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":{"components":[{"gamma":0.0,"weight":0.5},{"gamma":0.9,"weight":0.5}],"seed":2,"variant":"UqstMixed"},"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":4},"protocol":"uqst","repetitions":1,"scale":0.0003125,"seed":3,"trials":40,"workers":1},"exact":null,"exact_float":null,"extras":{"accept_and_far":0.075},"instance":"haar-state 16","lengths":{"alice":176,"merlin":256},"p_hat":0.425,"protocol_type":"RQ","within_ci":null}',
+    ),
+    (
+        "qrq-cross",
+        dict(protocol="qrq-eq", n=4, trials=6, seed=3, scale=1 / 3200, instance="ne_pair",
+             adversary={"variant": "QrqCrossFingerprint"}),
+        '{"ci_half_width":0.6644745647595071,"config":{"adversary":{"variant":"QrqCrossFingerprint"},"confidence_beta":0.01,"instance":"ne_pair","mode":"monte_carlo","n":4,"options":{},"protocol":"qrq-eq","repetitions":1,"scale":0.0003125,"seed":3,"trials":6,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0000 0011","lengths":{"alice":7,"bob":1200,"merlin":448},"p_hat":0.0,"protocol_type":"QRQ","within_ci":null}',
+    ),
+    (
+        "qrq-cross-reps",
+        dict(protocol="qrq-eq", n=4, trials=6, seed=3, scale=1 / 3200, instance="ne_pair",
+             repetitions=3, adversary={"variant": "QrqCrossFingerprint"}),
+        '{"ci_half_width":0.6644745647595071,"config":{"adversary":{"variant":"QrqCrossFingerprint"},"confidence_beta":0.01,"instance":"ne_pair","mode":"monte_carlo","n":4,"options":{},"protocol":"qrq-eq","repetitions":3,"scale":0.0003125,"seed":3,"trials":6,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0000 0011","lengths":{"alice":7,"bob":1200,"merlin":448},"p_hat":0.0,"protocol_type":"QRQ","within_ci":null}',
+    ),
+    (
+        "qrq-ne-reps",
+        dict(protocol="qrq-eq", n=4, trials=8, seed=4, scale=1 / 3200, instance="ne_pair",
+             repetitions=3),
+        '{"ci_half_width":0.5754518532503412,"config":{"adversary":null,"confidence_beta":0.01,"instance":"ne_pair","mode":"monte_carlo","n":4,"options":{},"protocol":"qrq-eq","repetitions":3,"scale":0.0003125,"seed":4,"trials":8,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0111 1100","lengths":{"alice":7,"bob":1200,"merlin":448},"p_hat":0.375,"protocol_type":"QRQ","within_ci":null}',
+    ),
+    (
+        "rrq-junk",
+        dict(protocol="rrq-eq", n=4, trials=10, seed=5, options={"m_copies": 16},
+             adversary={"variant": "RrqOrthogonalJunk"}),
+        '{"ci_half_width":0.5146997846583985,"config":{"adversary":{"variant":"RrqOrthogonalJunk"},"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":4,"options":{"m_copies":16},"protocol":"rrq-eq","repetitions":1,"scale":null,"seed":5,"trials":10,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"1111 1111","lengths":{"alice":768,"bob":768,"merlin":112},"p_hat":0.1,"protocol_type":"RRQ","within_ci":null}',
+    ),
+    (
+        "rrq-n16",
+        dict(protocol="rrq-eq", n=16, trials=10, seed=3, options={"a": 16, "m_copies": 32}),
+        '{"ci_half_width":0.5146997846583985,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":16,"m_copies":32},"protocol":"rrq-eq","repetitions":1,"scale":null,"seed":3,"trials":10,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0000001101101111 0000001101101111","lengths":{"alice":768,"bob":768,"merlin":288},"p_hat":0.2,"protocol_type":"RRQ","within_ci":null}',
+    ),
+]
+
 
 def test_every_protocol_is_pinned():
     assert sorted(c["protocol"] for c, _ in GOLDEN) == sorted(PROTOCOL_IDS)
@@ -55,4 +123,10 @@ def test_every_protocol_is_pinned():
 
 @pytest.mark.parametrize("fields,line", GOLDEN, ids=[c["protocol"] for c, _ in GOLDEN])
 def test_record_is_byte_identical(fields, line):
+    assert run(ExperimentConfig(workers=1, **fields)).json_line() == line
+
+
+@pytest.mark.parametrize("fields,line", [c[1:] for c in REJECT_PATHS],
+                         ids=[c[0] for c in REJECT_PATHS])
+def test_reject_path_record_is_byte_identical(fields, line):
     assert run(ExperimentConfig(workers=1, **fields)).json_line() == line
