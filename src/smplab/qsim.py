@@ -329,11 +329,11 @@ def quantize(coords: StateVec, bits: int) -> QuantizedState:
     if bits < 4:
         raise ValueError("need at least 4 bits per component")
     scale = (1 << (bits - 1)) - 1
-    codes = []
-    for amp in coords.amplitudes:
-        for v in (amp.real, amp.imag):
-            codes.append(int(np.clip(round(v * scale), -scale, scale)))
-    return QuantizedState(coords.dim, bits, tuple(codes))
+    amps = coords.amplitudes
+    parts = np.stack((amps.real, amps.imag), axis=1).ravel()  # re, im per amplitude
+    # np.rint rounds half to even, as Python's round does
+    codes = np.clip(np.rint(parts * scale), -scale, scale).astype(np.int64)
+    return QuantizedState(coords.dim, bits, tuple(codes.tolist()))
 
 
 def dequantize(qs: QuantizedState) -> StateVec:

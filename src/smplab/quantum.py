@@ -15,20 +15,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from .codes import CodeSpec, encode_array
 from .core import BitString, Message, RandomSource, Transcript, Verdict
 from .qsim import (
     MixedEnsemble,
     ProductState,
     StateVec,
+    Subspace,
     bits_for_target,
     dequantize,
     fidelity,
     haar_subspace,
     project,
     quantize,
+    swap_test_prob,
 )
 
 _STREAM_SHARED_A = 0
@@ -180,6 +180,26 @@ def _reject(survivors: int, diagnostics: dict) -> UqstOutcome:
     return UqstOutcome(False, None, survivors, diagnostics)
 
 
+def _verify_blocks(
+    blocks: tuple[StateVec, ...], indices: list[int], v: Subspace, gen
+) -> tuple[list[float], list[tuple[int, StateVec]]]:
+    """Measure the indexed blocks with {V, I-V}: each index's survival
+    probability and the surviving (index, coords) pairs, in index order.
+    Equal blocks are projected once; one batched draw takes the coins of the
+    non-flagged blocks, the same stream values as one draw per block."""
+    seen = {}
+    projs = []
+    for j in indices:
+        key = blocks[j].amplitudes.tobytes()
+        if key not in seen:
+            seen[key] = project(blocks[j], v)
+        projs.append(seen[key])
+    live = [(j, proj) for j, proj in zip(indices, projs) if not proj.flagged]
+    coins = gen.random(len(live))
+    survivors = [(j, proj.coords) for (j, proj), c in zip(live, coins) if c < proj.survival_prob]
+    return [proj.survival_prob for proj in projs], survivors
+
+
 def uqst_run(
     phi: StateVec,
     params: UqstParams,
@@ -219,12 +239,16 @@ def uqst_run(
     message = merlin.blocks(phi, params, rng.derive(_STREAM_MERLIN))
     if isinstance(message, MixedEnsemble):
         message = message.sample(rng.derive(_STREAM_MERLIN, 1).generator())
-    if isinstance(message, ProductState):
-        diagnostics["merlin_qubits"] = sum(_qubits(b.dim) for b in message.blocks)
-    if not isinstance(message, ProductState) or message.m_copies != params.m_copies:
+    if not isinstance(message, ProductState):
         diagnostics["note"] = "wrong block count"
         return _reject(0, diagnostics)
-    if message.uniform_block_dim() != params.n:
+    dim = message.uniform_block_dim()
+    diagnostics["merlin_qubits"] = (message.m_copies * _qubits(dim) if dim is not None
+                                    else sum(_qubits(b.dim) for b in message.blocks))
+    if message.m_copies != params.m_copies:
+        diagnostics["note"] = "wrong block count"
+        return _reject(0, diagnostics)
+    if dim != params.n:
         diagnostics["note"] = "wrong block dimension"
         return _reject(0, diagnostics)
 
@@ -232,18 +256,9 @@ def uqst_run(
     reserved = int(gen.integers(0, params.m_copies))
     diagnostics["reserved_block"] = reserved
 
-    survivals = []
-    survivors: list[tuple[int, StateVec]] = []
-    for j, block in enumerate(message.blocks):
-        if j == reserved:
-            survivals.append(None)
-            continue
-        proj = project(block, v)
-        survivals.append(proj.survival_prob)
-        if proj.flagged:
-            continue
-        if gen.random() < proj.survival_prob:
-            survivors.append((j, proj.coords))
+    checked = [j for j in range(params.m_copies) if j != reserved]
+    survivals, survivors = _verify_blocks(message.blocks, checked, v, gen)
+    survivals.insert(reserved, None)
     diagnostics["block_survival_probs"] = survivals
     diagnostics["survivor_blocks"] = [j for j, _ in survivors]
     if len(survivors) < params.k_surv:
@@ -252,16 +267,12 @@ def uqst_run(
 
     kept = survivors[: params.k_surv]
     tests = []
-    ok = True
-    for j, coords in kept:
+    for (j, coords), coin in zip(kept, gen.random(len(kept))):
         # both states live in V, so the fidelity equals the coordinate overlap
-        f2 = fidelity(psi, coords) ** 2
-        p = 0.5 + f2 / 2.0 if referee_mode == "swap" else f2
-        passed = bool(gen.random() < p)
-        tests.append({"block": j, "accept_prob": p, "passed": passed})
-        ok = ok and passed
+        p = swap_test_prob(psi, coords) if referee_mode == "swap" else fidelity(psi, coords) ** 2
+        tests.append({"block": j, "accept_prob": p, "passed": bool(coin < p)})
     diagnostics["swap_tests"] = tests
-    if not ok:
+    if not all(test["passed"] for test in tests):
         diagnostics["note"] = "verification test failed"
         return _reject(len(survivors), diagnostics)
     return UqstOutcome(True, message.blocks[reserved], len(survivors), diagnostics)
@@ -289,7 +300,6 @@ def qrq_eq_run(
         raise ValueError("transfer params must match the fingerprint dimension")
     qubits = _qubits(f_x.dim)
     transcript = None
-    verdict = Verdict.ACCEPT
     for rep in range(repetitions):
         sub = rng.derive(10 + rep)
         outcome = uqst_run(f_y, params, merlin, sub)
@@ -300,13 +310,11 @@ def qrq_eq_run(
                 merlin=Message("quantum", params.m_copies * qubits, ("blocks", y)),
                 protocol_type="QRQ",
             )
-        if not outcome.accepted:
-            verdict = Verdict.REJECT
-            continue
-        p = 0.5 + fidelity(f_x, outcome.output_state) ** 2 / 2.0
-        if not sub.derive(99).generator().random() < p:
-            verdict = Verdict.REJECT
-    return verdict, transcript
+        # a reject is final and each repetition has its own stream: stop here
+        if not (outcome.accepted and sub.derive(99).generator().random()
+                < swap_test_prob(f_x, outcome.output_state)):
+            return Verdict.REJECT, transcript
+    return Verdict.ACCEPT, transcript
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +374,8 @@ def rrq_eq_run(
     described_a = quantize(proj_a.coords, params.bits) if not proj_a.flagged else None
     described_b = quantize(proj_b.coords, params.bits) if not proj_b.flagged else None
     transcript = Transcript(
-        alice=Message(
-            "classical", described_a.bit_length if described_a else 0, described_a
-        ),
-        bob=Message(
-            "classical", described_b.bit_length if described_b else 0, described_b
-        ),
+        alice=Message("classical", described_a.bit_length if described_a else 0, described_a),
+        bob=Message("classical", described_b.bit_length if described_b else 0, described_b),
         merlin=Message("quantum", params.m_copies * qubits, ("blocks", x)),
         protocol_type="RRQ",
     )
@@ -390,20 +394,12 @@ def rrq_eq_run(
 
     gen = rng.derive(_STREAM_REFEREE).generator()
     perm = gen.permutation(params.m_copies)
-    halves = {
-        "alice": (set(perm[: params.m_copies // 2].tolist()), v_a, dequantize(described_a)),
-        "bob": (set(perm[params.m_copies // 2 :].tolist()), v_b, dequantize(described_b)),
-    }
-    for blocks_idx, v, psi in halves.values():
-        survivors = []
-        for j in sorted(blocks_idx):
-            proj = project(message.blocks[j], v)
-            if not proj.flagged and gen.random() < proj.survival_prob:
-                survivors.append(proj.coords)
+    half = params.m_copies // 2
+    for idx, v, described in ((perm[:half], v_a, described_a), (perm[half:], v_b, described_b)):
+        _, survivors = _verify_blocks(message.blocks, sorted(idx.tolist()), v, gen)
         if not survivors:
             return Verdict.REJECT, transcript
-        for coords in survivors:
-            p = 0.5 + fidelity(psi, coords) ** 2 / 2.0
-            if not gen.random() < p:
-                return Verdict.REJECT, transcript
+        psi, coins = dequantize(described), gen.random(len(survivors))
+        if not all(c < swap_test_prob(psi, coords) for (_, coords), c in zip(survivors, coins)):
+            return Verdict.REJECT, transcript
     return Verdict.ACCEPT, transcript

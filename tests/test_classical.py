@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +40,7 @@ from smplab.core import (
     hamming_distance,
     sample_instance,
 )
-from smplab.field import UniPoly, poly_eval
+from smplab.field import UniPoly
 
 
 def mc(fn, trials, seed):

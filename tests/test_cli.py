@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from smplab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from smplab.core import BitString, InstanceKind, RandomSource, sample_instance
+from smplab.core import InstanceKind, RandomSource, sample_instance
 from smplab.field import (
     EvalTable,
     PrimeField,

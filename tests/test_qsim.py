@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from smplab.codes import CodeSpec, encode
 from smplab.core import BitString, InstanceKind, RandomSource, hamming_distance, sample_instance
@@ -244,6 +242,33 @@ class TestQuantize:
     def test_minimum_bits(self):
         with pytest.raises(ValueError):
             quantize(random_state(3, GEN), 3)
+
+    @staticmethod
+    def _loop_codes(coords, bits):
+        """The per-component loop the vectorised quantize replaced."""
+        scale = (1 << (bits - 1)) - 1
+        codes = []
+        for amp in coords.amplitudes:
+            for v in (amp.real, amp.imag):
+                codes.append(int(np.clip(round(v * scale), -scale, scale)))
+        return tuple(codes)
+
+    @pytest.mark.parametrize("bits", [4, 5, 9, 17, 30])
+    def test_codes_match_per_component_loop(self, bits):
+        scale = (1 << (bits - 1)) - 1
+        # components whose scaled value is exactly halfway between two codes,
+        # where round-half-to-even decides; the last amplitude fixes the norm
+        ties = [(k + 0.5) / scale for k in (-2, -1, 0, 1)]
+        ties = [v for v in ties if v * scale == int(v * scale * 2) / 2]
+        head = np.array(ties[0::2]) + 1j * np.array(ties[1::2])
+        tail = math.sqrt(1.0 - float(np.sum(np.abs(head) ** 2)))
+        states = [StateVec(np.append(head, tail)), StateVec.basis(3, 1)]
+        g = RandomSource(59, bits).generator()
+        states += [random_state(dim, g) for dim in (1, 2, 16, 48)]
+        for st_ in states:
+            codes = quantize(st_, bits).codes
+            assert codes == self._loop_codes(st_, bits)
+            assert all(type(c) is int for c in codes)
 
 
 class TestDistances:

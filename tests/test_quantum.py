@@ -1,9 +1,15 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smplab.qsim
+import smplab.quantum
 
 from smplab.adversaries import (
     ProductCopies,
@@ -15,6 +21,7 @@ from smplab.adversaries import (
 from smplab.codes import CodeSpec
 from smplab.core import BitString, InstanceKind, RandomSource, Verdict, sample_instance
 from smplab.qsim import (
+    StateVec,
     fingerprint,
     fidelity,
     haar_subspace,
@@ -40,6 +47,22 @@ SPEC8 = CodeSpec.create(8)
 
 def mc(fn, trials, seed):
     return sum(fn(RandomSource(seed).derive(1, t)) for t in range(trials)) / trials
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Wrap `original` at every name a smplab module binds it under."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("smplab") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 class TestEqQq:
@@ -309,3 +332,124 @@ class TestRrq:
         _, tr = rrq_eq_run(x, x, f_x, f_x, self.RPAR, UqstHonest(), RandomSource(93))
         assert tr.protocol_type == "RRQ"
         assert tr.lengths() == self.RPAR.expected_lengths()
+
+
+def verify_blocks_loop(blocks, indices, v, gen):
+    """The per-block loop the shared kernel replaced: every block projected,
+    one scalar coin per block whose projection is not flagged."""
+    probs, survivors = [], []
+    for j in indices:
+        proj = project(blocks[j], v)
+        probs.append(proj.survival_prob)
+        if not proj.flagged and gen.random() < proj.survival_prob:
+            survivors.append((j, proj.coords))
+    return probs, survivors
+
+
+class TestVerifyBlocks:
+    # block kinds: 0, 1 = one of two shared state objects; 2 = a separate
+    # object equal to shared state 0; 3 = a fresh distinct state; 4 = a state
+    # orthogonal to V, so its projection is flagged
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        kinds=st.lists(st.integers(0, 4), min_size=1, max_size=24),
+        checked=st.lists(st.booleans(), min_size=24, max_size=24),
+        reserve=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_block_loop(self, n, kinds, checked, reserve, seed):
+        g = RandomSource(seed).generator()
+        v = haar_subspace(n, 1 + seed % (n - 1), g)
+        shared = [random_state(n, g), random_state(n, g)]
+        outside = random_state(n, g).amplitudes
+        orthogonal = StateVec.normalized(outside - v.basis @ (v.basis.conj().T @ outside))
+        assert project(orthogonal, v).flagged
+        blocks = []
+        for kind in kinds:
+            if kind < 2:
+                blocks.append(shared[kind])
+            elif kind == 2:
+                blocks.append(StateVec(shared[0].amplitudes.copy()))
+            elif kind == 3:
+                blocks.append(random_state(n, g))
+            else:
+                blocks.append(StateVec(orthogonal.amplitudes.copy()))
+        reserved = seed % len(blocks) if reserve else None
+        indices = [j for j in range(len(blocks)) if checked[j] and j != reserved]
+        loop_gen, kernel_gen = (RandomSource(seed, 1).generator() for _ in range(2))
+
+        want_probs, want = verify_blocks_loop(blocks, indices, v, loop_gen)
+        probs, got = smplab.quantum._verify_blocks(tuple(blocks), indices, v, kernel_gen)
+
+        assert probs == want_probs
+        assert [j for j, _ in got] == [j for j, _ in want]
+        for (_, coords), (_, want_coords) in zip(got, want):
+            assert np.array_equal(coords.amplitudes, want_coords.amplitudes)
+        assert kernel_gen.random() == loop_gen.random()  # same stream position
+
+
+class TestProjectionCount:
+    """Equal blocks are projected once per subspace, not once per copy."""
+
+    PHI = random_state(16, RandomSource(70).generator())
+
+    @pytest.mark.parametrize("strategy", [UqstHonest(), UqstFarProduct(gamma=0.9, seed=5)])
+    def test_uqst_trial_projects_sender_and_one_block(self, monkeypatch, strategy):
+        calls = count_calls(monkeypatch, smplab.qsim.project)
+        for t in range(5):
+            calls.clear()
+            out = uqst_run(self.PHI, DESK, strategy, RandomSource(94).derive(1, t))
+            assert "block_survival_probs" in out.diagnostics
+            assert len(calls) <= 2
+
+    def test_rrq_trial_projects_each_side_and_one_block_per_half(self, monkeypatch):
+        spec = CodeSpec.create(2)
+        x = BitString.from_text("10")
+        f_x = fingerprint(spec, x)
+        params = RrqParams(n=2 * spec.block_len, a=4, m_copies=32)
+        calls = count_calls(monkeypatch, smplab.qsim.project)
+        for t in range(5):
+            calls.clear()
+            rrq_eq_run(x, x, f_x, f_x, params, UqstHonest(), RandomSource(95).derive(1, t))
+            assert 0 < len(calls) <= 4
+
+
+class TestQrqRepetitions:
+    SPEC = CodeSpec.create(2)
+    QPAR = UqstParams(n=2 * SPEC.block_len, a=6, eps=0.5, delta=0.25, scale=1.0 / 3200.0)
+
+    def _all_repetitions_verdict(self, f_x, f_y, strategy, rng, repetitions):
+        """Run every repetition, as before the early exit, and AND the tests."""
+        accept = True
+        for rep in range(repetitions):
+            sub = rng.derive(10 + rep)
+            out = uqst_run(f_y, self.QPAR, strategy, sub)
+            if not out.accepted:
+                accept = False
+                continue
+            p = 0.5 + fidelity(f_x, out.output_state) ** 2 / 2.0
+            accept = accept and sub.derive(99).generator().random() < p
+        return Verdict.ACCEPT if accept else Verdict.REJECT
+
+    @pytest.mark.parametrize("kind", [InstanceKind.EQ_PAIR, InstanceKind.NE_PAIR])
+    def test_early_exit_keeps_verdicts_and_skips_transfers(self, monkeypatch, kind):
+        x, y = sample_instance(kind, 2, RandomSource(96))
+        f_x, f_y = fingerprint(self.SPEC, x), fingerprint(self.SPEC, y)
+        reps, trials = 3, 30
+        want = [
+            self._all_repetitions_verdict(f_x, f_y, UqstHonest(), RandomSource(97).derive(1, t), reps)
+            for t in range(trials)
+        ]
+        calls = count_calls(monkeypatch, smplab.quantum.uqst_run)
+        got, transfers = [], []
+        for t in range(trials):
+            calls.clear()
+            verdict, _ = qrq_eq_run(
+                x, y, f_x, f_y, self.QPAR, UqstHonest(), RandomSource(97).derive(1, t), reps
+            )
+            got.append(verdict)
+            transfers.append(len(calls))
+        assert got == want
+        assert all(n == reps for n, v in zip(transfers, got) if v is Verdict.ACCEPT)
+        assert min(n for n, v in zip(transfers, got) if v is Verdict.REJECT) < reps
