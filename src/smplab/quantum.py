@@ -239,13 +239,11 @@ def uqst_run(
     message = merlin.blocks(phi, params, rng.derive(_STREAM_MERLIN))
     if isinstance(message, MixedEnsemble):
         message = message.sample(rng.derive(_STREAM_MERLIN, 1).generator())
-    if not isinstance(message, ProductState):
-        diagnostics["note"] = "wrong block count"
-        return _reject(0, diagnostics)
-    dim = message.uniform_block_dim()
-    diagnostics["merlin_qubits"] = (message.m_copies * _qubits(dim) if dim is not None
-                                    else sum(_qubits(b.dim) for b in message.blocks))
-    if message.m_copies != params.m_copies:
+    if isinstance(message, ProductState):
+        dim = message.uniform_block_dim()
+        diagnostics["merlin_qubits"] = (message.m_copies * _qubits(dim) if dim is not None
+                                        else sum(_qubits(b.dim) for b in message.blocks))
+    if not isinstance(message, ProductState) or message.m_copies != params.m_copies:
         diagnostics["note"] = "wrong block count"
         return _reject(0, diagnostics)
     if dim != params.n:
@@ -374,8 +372,12 @@ def rrq_eq_run(
     described_a = quantize(proj_a.coords, params.bits) if not proj_a.flagged else None
     described_b = quantize(proj_b.coords, params.bits) if not proj_b.flagged else None
     transcript = Transcript(
-        alice=Message("classical", described_a.bit_length if described_a else 0, described_a),
-        bob=Message("classical", described_b.bit_length if described_b else 0, described_b),
+        alice=Message(
+            "classical", described_a.bit_length if described_a else 0, described_a
+        ),
+        bob=Message(
+            "classical", described_b.bit_length if described_b else 0, described_b
+        ),
         merlin=Message("quantum", params.m_copies * qubits, ("blocks", x)),
         protocol_type="RRQ",
     )

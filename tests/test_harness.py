@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import os
-import sys
 
 import pytest
 
@@ -122,27 +121,11 @@ class TestOncePerRun:
         ("eq-qq", {"instance": "ne_pair"}),
     )
 
-    @staticmethod
-    def _count_calls(monkeypatch, original) -> list:
-        """Wrap `original` at every name a smplab module binds it under."""
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("smplab") and module is not None:
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
-        return calls
-
     @pytest.mark.parametrize("protocol,fields", ENCODED)
-    def test_encode_count_independent_of_trials(self, monkeypatch, protocol, fields):
+    def test_encode_count_independent_of_trials(self, count_calls, protocol, fields):
         import smplab.codes
 
-        calls = self._count_calls(monkeypatch, smplab.codes.encode_array)
+        calls = count_calls(smplab.codes.encode_array)
         counts = []
         for trials in (1, 50):
             calls.clear()
@@ -151,10 +134,10 @@ class TestOncePerRun:
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
-    def test_serial_run_builds_its_plan_once(self, monkeypatch):
+    def test_serial_run_builds_its_plan_once(self, count_calls):
         import smplab.harness
 
-        calls = self._count_calls(monkeypatch, smplab.harness.build_plan)
+        calls = count_calls(smplab.harness.build_plan)
         run(dataclasses.replace(BASE, trials=20, workers=1))
         assert len(calls) == 1
 

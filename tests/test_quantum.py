@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -47,22 +46,6 @@ SPEC8 = CodeSpec.create(8)
 
 def mc(fn, trials, seed):
     return sum(fn(RandomSource(seed).derive(1, t)) for t in range(trials)) / trials
-
-
-def count_calls(monkeypatch, original) -> list:
-    """Wrap `original` at every name a smplab module binds it under."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("smplab") and module is not None:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 class TestEqQq:
@@ -395,20 +378,20 @@ class TestProjectionCount:
     PHI = random_state(16, RandomSource(70).generator())
 
     @pytest.mark.parametrize("strategy", [UqstHonest(), UqstFarProduct(gamma=0.9, seed=5)])
-    def test_uqst_trial_projects_sender_and_one_block(self, monkeypatch, strategy):
-        calls = count_calls(monkeypatch, smplab.qsim.project)
+    def test_uqst_trial_projects_sender_and_one_block(self, count_calls, strategy):
+        calls = count_calls(smplab.qsim.project)
         for t in range(5):
             calls.clear()
             out = uqst_run(self.PHI, DESK, strategy, RandomSource(94).derive(1, t))
             assert "block_survival_probs" in out.diagnostics
             assert len(calls) <= 2
 
-    def test_rrq_trial_projects_each_side_and_one_block_per_half(self, monkeypatch):
+    def test_rrq_trial_projects_each_side_and_one_block_per_half(self, count_calls):
         spec = CodeSpec.create(2)
         x = BitString.from_text("10")
         f_x = fingerprint(spec, x)
         params = RrqParams(n=2 * spec.block_len, a=4, m_copies=32)
-        calls = count_calls(monkeypatch, smplab.qsim.project)
+        calls = count_calls(smplab.qsim.project)
         for t in range(5):
             calls.clear()
             rrq_eq_run(x, x, f_x, f_x, params, UqstHonest(), RandomSource(95).derive(1, t))
@@ -433,7 +416,7 @@ class TestQrqRepetitions:
         return Verdict.ACCEPT if accept else Verdict.REJECT
 
     @pytest.mark.parametrize("kind", [InstanceKind.EQ_PAIR, InstanceKind.NE_PAIR])
-    def test_early_exit_keeps_verdicts_and_skips_transfers(self, monkeypatch, kind):
+    def test_early_exit_keeps_verdicts_and_skips_transfers(self, count_calls, kind):
         x, y = sample_instance(kind, 2, RandomSource(96))
         f_x, f_y = fingerprint(self.SPEC, x), fingerprint(self.SPEC, y)
         reps, trials = 3, 30
@@ -441,7 +424,7 @@ class TestQrqRepetitions:
             self._all_repetitions_verdict(f_x, f_y, UqstHonest(), RandomSource(97).derive(1, t), reps)
             for t in range(trials)
         ]
-        calls = count_calls(monkeypatch, smplab.quantum.uqst_run)
+        calls = count_calls(smplab.quantum.uqst_run)
         got, transfers = [], []
         for t in range(trials):
             calls.clear()
