@@ -21,6 +21,8 @@ import numpy as np
 
 from . import adversaries as adv
 from .classical import (
+    DisjClaim,
+    DisjInstance,
     DisjParams,
     NeRrrParams,
     OneOutOfTwoInstance,
@@ -313,8 +315,10 @@ def crit_10_disj_completeness(seed: int) -> tuple[bool, str]:
     params = DisjParams.create(64, sample_scale=DISJ_DESK_SCALE)
     trials = 2000
     x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(seed, 1000))
+    inst = DisjInstance.encode(x, y, params)
+    honest = DisjClaim.of(adv.DisjHonest().polynomial(x, y, params, None), params)
     accepts = sum(
-        disj_rrr_run(x, y, adv.DisjHonest(), params, RandomSource(seed, 1001).derive(1, t))[0]
+        disj_rrr_run(inst, honest, params, RandomSource(seed, 1001).derive(1, t))[0]
         is Verdict.ACCEPT
         for t in range(trials)
     )
@@ -323,10 +327,11 @@ def crit_10_disj_completeness(seed: int) -> tuple[bool, str]:
     complete_ok = p_hat >= 0.9 - ci
 
     xi, yi = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(seed, 1002))
-    honest_poly = adv.DisjHonest().polynomial(xi, yi, params, RandomSource(seed, 1003))
-    exact = disj_rrr_soundness_exact(xi, yi, honest_poly, params)
+    inst_i = DisjInstance.encode(xi, yi, params)
+    honest_i = DisjClaim.of(adv.DisjHonest().polynomial(xi, yi, params, None), params)
+    exact = disj_rrr_soundness_exact(inst_i, honest_i, params)
     reject_ok = exact == 0 and all(
-        disj_rrr_run(xi, yi, adv.DisjHonest(), params, RandomSource(seed, 1004).derive(1, t))[0]
+        disj_rrr_run(inst_i, honest_i, params, RandomSource(seed, 1004).derive(1, t))[0]
         is Verdict.REJECT
         for t in range(200)
     )
@@ -343,12 +348,12 @@ def crit_11_disj_soundness(seed: int) -> tuple[bool, str]:
     Monte Carlo acceptance matches the exact evaluator within 3 stderr."""
     params = DisjParams.create(64, sample_scale=DISJ_DESK_SCALE)
     x, y = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(seed, 1100))
-    ta, tb = params.tables(x, y)
-    s_true = s_polynomial(ta, tb)
+    inst = DisjInstance.encode(x, y, params)
+    s_true = s_polynomial(*params.tables(x, y))
     q = params.field.q
     max_agree = 0
     for t in range(1000):
-        s_prime = adv.disj_wrong_poly(x, y, params, RandomSource(seed, 1101 + t))
+        s_prime = adv.disj_wrong_poly(s_true, params, RandomSource(seed, 1101 + t))
         total = sum(poly_eval(s_prime, i) for i in range(1, params.rows + 1)) % q
         if total != 0 or s_prime == s_true:
             return False, f"wrong-poly construction broke at t={t}"
@@ -361,11 +366,11 @@ def crit_11_disj_soundness(seed: int) -> tuple[bool, str]:
     mc_ok = True
     details = []
     for k in range(3):
-        strategy = adv.DisjWrongPoly(seed=seed + k)
-        s_prime = strategy.polynomial(x, y, params, RandomSource(seed, 1099))
-        exact = float(disj_rrr_soundness_exact(x, y, s_prime, params))
+        s_prime = adv.DisjWrongPoly(seed=seed + k).polynomial(x, y, params, None)
+        claim = DisjClaim.of(s_prime, params)
+        exact = float(disj_rrr_soundness_exact(inst, claim, params))
         accepts = sum(
-            disj_rrr_run(x, y, strategy, params, RandomSource(seed, 1200 + k).derive(1, t))[0]
+            disj_rrr_run(inst, claim, params, RandomSource(seed, 1200 + k).derive(1, t))[0]
             is Verdict.ACCEPT
             for t in range(trials)
         )

@@ -17,7 +17,7 @@ import numpy as np
 from .classical import DisjParams, NeMessage, NeRrrParams, honest_ne_message
 from .codes import grid_of, row
 from .core import BitString, RandomSource
-from .field import UniPoly, poly_eval, s_polynomial
+from .field import UniPoly, s_polynomial
 from .qsim import MixedEnsemble, ProductState, StateVec, dephase_across_blocks, random_state
 
 
@@ -77,23 +77,16 @@ def random_ne_message(params: NeRrrParams, rng: RandomSource) -> NeMessage:
 # Disjointness prover
 
 
-def disj_wrong_poly(
-    x: BitString, y: BitString, params: DisjParams, rng: RandomSource
-) -> UniPoly:
-    """A wrong candidate s' = s + delta with a passing block sum: delta is a
-    random nonzero polynomial whose values over the row nodes sum to minus
-    the true intersection count, so sum_i s'(i) = 0 mod q."""
-    ta, tb = params.tables(x, y)
-    s = s_polynomial(ta, tb)
+def disj_wrong_poly(s: UniPoly, params: DisjParams, rng: RandomSource) -> UniPoly:
+    """A wrong candidate s' = s + delta for the honest polynomial s, with a
+    passing block sum: delta is a random nonzero polynomial whose values over
+    the row nodes sum to minus the true intersection count, so
+    sum_i s'(i) = 0 mod q."""
     q = params.field.q
-    rows = params.rows
-    target = (-sum(poly_eval(s, i) for i in range(1, rows + 1))) % q
-    node_power_sums = [
-        sum(pow(i, k, q) for i in range(1, rows + 1)) % q
-        for k in range(params.degree_bound + 1)
-    ]
+    target = (-params.block_sum(s)) % q
+    node_power_sums = params.node_power_sums
     g = rng.generator()
-    inv_rows = pow(rows, q - 2, q)
+    inv_rows = pow(params.rows, q - 2, q)
     while True:
         tail = [int(c) for c in g.integers(0, q, size=params.degree_bound)]
         head = (
@@ -111,8 +104,7 @@ def disj_wrong_poly(
 @dataclass(frozen=True)
 class DisjHonest:
     def polynomial(self, x, y, params, rng) -> UniPoly:
-        ta, tb = params.tables(x, y)
-        return s_polynomial(ta, tb)
+        return s_polynomial(*params.tables(x, y))
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,8 @@ class DisjWrongPoly:
     seed: int = 0
 
     def polynomial(self, x, y, params, rng) -> UniPoly:
-        return disj_wrong_poly(x, y, params, RandomSource(self.seed, 0x0D15))
+        s = s_polynomial(*params.tables(x, y))
+        return disj_wrong_poly(s, params, RandomSource(self.seed, 0x0D15))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,8 @@ from .field import (
     PrimeField,
     UniPoly,
     find_prime,
-    lde_eval_block,
+    lde_eval_points,
     next_prime_above,
-    poly_eval,
     poly_eval_many,
 )
 
@@ -377,104 +376,137 @@ class DisjParams:
             EvalTable.from_bits(y, self.rows, self.cols, self.field),
         )
 
+    @cached_property
+    def node_power_sums(self) -> tuple[int, ...]:
+        """P_k = sum_{i=1..rows} i^k mod q for k = 0..degree_bound."""
+        q = self.field.q
+        nodes = np.arange(1, self.rows + 1, dtype=np.int64)
+        powers = np.ones(self.rows, dtype=np.int64)
+        sums = []
+        for _ in range(self.degree_bound + 1):
+            sums.append(int(powers.sum() % q))
+            powers = powers * nodes % q
+        return tuple(sums)
 
-def _player_samples(table: EvalTable, params: DisjParams, gen) -> list[tuple[int, np.ndarray]]:
-    rs = np.sort(gen.choice(params.eval_set, size=params.samples_per_player, replace=True))
-    return [(int(r), lde_eval_block(table, int(r))) for r in rs]
+    def block_sum(self, p: UniPoly) -> int:
+        """sum_{i=1..rows} p(i) mod q, as sum_k c_k P_k over p's coefficients."""
+        if p.degree > self.degree_bound:
+            raise ValueError("polynomial exceeds the degree bound")
+        return sum(c * s for c, s in zip(p.coeffs, self.node_power_sums)) % self.field.q
+
+
+@dataclass(frozen=True)
+class DisjInstance:
+    """A disjointness pair encoded once: both players' column-extension
+    blocks at every point of the evaluation set S (row k is the block at
+    S[k]) and the true inner products s(r) = <a~(r, .), b~(r, .)> on S.
+    None of it depends on the players' coins or on the prover."""
+
+    blocks_a: np.ndarray  # (|S|, cols)
+    blocks_b: np.ndarray  # (|S|, cols)
+    s_values: np.ndarray  # (|S|,)
+
+    @staticmethod
+    def encode(x: BitString, y: BitString, params: DisjParams) -> "DisjInstance":
+        ta, tb = params.tables(x, y)
+        a = lde_eval_points(ta, params.eval_set)
+        b = lde_eval_points(tb, params.eval_set)
+        s = (a * b).sum(axis=1) % params.field.q
+        for arr in (a, b, s):
+            arr.flags.writeable = False
+        return DisjInstance(a, b, s)
+
+
+@dataclass(frozen=True)
+class DisjClaim:
+    """The prover's candidate s' with what the referee derives from it
+    alone, once per run: its values on the evaluation set, and whether it
+    meets the degree bound and passes the block sum sum_i s'(i) = 0."""
+
+    poly: UniPoly
+    values: np.ndarray  # s'(r) for r in S
+    passes: bool
+
+    @staticmethod
+    def of(poly: UniPoly, params: DisjParams) -> "DisjClaim":
+        values = poly_eval_many(poly, params.eval_set)
+        values.flags.writeable = False
+        passes = poly.degree <= params.degree_bound and params.block_sum(poly) == 0
+        return DisjClaim(poly, values, passes)
 
 
 def disj_rrr_run(
-    x: BitString,
-    y: BitString,
-    merlin,
+    inst: DisjInstance,
+    claim: DisjClaim,
     params: DisjParams,
     rng: RandomSource,
 ) -> tuple[Verdict, Transcript]:
-    if x.n != params.n or y.n != params.n:
-        raise ValueError("input length mismatch")
-    ta, tb = params.tables(x, y)
-    s_prime: UniPoly = merlin.polynomial(x, y, params, rng.derive(0))
-    alice = _player_samples(ta, params, rng.derive(1).generator())
-    bob = _player_samples(tb, params, rng.derive(2).generator())
+    """One run on the encoded pair against the prover's claim (disj
+    strategies are deterministic, so the caller builds it once).  Each
+    player draws samples_per_player points of S with replacement and sends
+    its blocks there, sorted by point; the referee accepts iff the claim
+    passes, the players drew a common point, and s' equals the true inner
+    product at every common point."""
+    c = params.samples_per_player
+    size = len(params.eval_set)
+    ia = np.sort(rng.derive(1).generator().choice(size, size=c, replace=True))
+    ib = np.sort(rng.derive(2).generator().choice(size, size=c, replace=True))
 
     per_sample = (1 + params.cols) * params.field_bits
     transcript = Transcript(
-        alice=Message("classical", len(alice) * per_sample, alice),
-        bob=Message("classical", len(bob) * per_sample, bob),
+        alice=Message("classical", c * per_sample, (params.eval_set[ia], inst.blocks_a[ia])),
+        bob=Message("classical", c * per_sample, (params.eval_set[ib], inst.blocks_b[ib])),
         merlin=Message(
-            "classical", (params.degree_bound + 1) * params.field_bits, s_prime.to_json()
+            "classical", (params.degree_bound + 1) * params.field_bits, claim.poly.to_json()
         ),
         protocol_type="RRR",
     )
 
-    if s_prime.degree > params.degree_bound:
+    if not claim.passes:
         return Verdict.REJECT, transcript
-    blocks_a = {r: blk for r, blk in alice}
-    blocks_b = {r: blk for r, blk in bob}
-    common = sorted(set(blocks_a) & set(blocks_b))
-    if not common:
+    drawn_a = np.zeros(size, dtype=bool)
+    drawn_a[ia] = True
+    common = ib[drawn_a[ib]]
+    if common.size == 0 or (claim.values[common] != inst.s_values[common]).any():
         return Verdict.REJECT, transcript
-    q = params.field.q
-    for r in common:
-        s_r = int(blocks_a[r] @ blocks_b[r] % q)
-        if s_r != poly_eval(s_prime, r):
-            return Verdict.REJECT, transcript
-    total = sum(poly_eval(s_prime, i) for i in range(1, params.rows + 1)) % q
-    return (Verdict.ACCEPT if total == 0 else Verdict.REJECT), transcript
-
-
-def _distinct_hit_distribution(c: int, hit_size: int, set_size: int) -> list[Fraction]:
-    """Exact law of the number of distinct elements of a fixed size-`hit_size`
-    subset touched by c iid uniform draws from a size-`set_size` set."""
-    probs = [Fraction(0)] * (min(c, hit_size) + 1)
-    probs[0] = Fraction(1)
-    for _ in range(c):
-        nxt = [Fraction(0)] * len(probs)
-        for d, p in enumerate(probs):
-            if p == 0:
-                continue
-            p_new = Fraction(hit_size - d, set_size)
-            if d + 1 < len(nxt):
-                nxt[d + 1] += p * p_new
-                nxt[d] += p * (1 - p_new)
-            else:
-                nxt[d] += p
-        probs = nxt
-    return probs
+    return Verdict.ACCEPT, transcript
 
 
 def _prob_no_common_hit(c: int, hit_size: int, set_size: int) -> Fraction:
-    """Pr[the two players' draw sets share no element of the fixed subset]."""
-    probs = _distinct_hit_distribution(c, hit_size, set_size)
-    return sum(
-        p * Fraction(set_size - d, set_size) ** c for d, p in enumerate(probs) if p
-    )
+    """Pr[two players' c iid uniform draws from a size-`set_size` set share
+    no element of a fixed size-`hit_size` subset].
+
+    counts[d] is the number of one player's draw sequences touching exactly
+    d distinct subset elements; the other player misses those d with
+    probability ((set_size - d) / set_size)^c.  Everything is an integer
+    count over set_size^(2c) until the one Fraction at the end.
+    """
+    counts = [1]
+    for _ in range(c):
+        nxt = [0] * min(len(counts) + 1, hit_size + 1)
+        for d, k in enumerate(counts):
+            nxt[d] += k * (set_size - hit_size + d)
+            if d < hit_size:
+                nxt[d + 1] += k * (hit_size - d)
+        counts = nxt
+    num = sum(k * (set_size - d) ** c for d, k in enumerate(counts))
+    return Fraction(num, set_size ** (2 * c))
 
 
 def disj_rrr_soundness_exact(
-    x: BitString, y: BitString, s_prime: UniPoly, params: DisjParams
+    inst: DisjInstance, claim: DisjClaim, params: DisjParams
 ) -> Fraction:
     """Exact acceptance for a fixed candidate polynomial, summing over both
     players' independent uniform draws.
 
     Acceptance needs a nonempty collision set lying inside the agreement set
-    A = {r in S : s'(r) = s(r)} plus a passing block sum, so it equals
-    [sum ok] * (Pr[no collision outside A] - Pr[no collision at all]).
+    A = {r in S : s'(r) = s(r)} plus a passing claim, so it equals
+    [claim passes] * (Pr[no collision outside A] - Pr[no collision at all]).
     """
-    if s_prime.degree > params.degree_bound:
+    if not claim.passes:
         return Fraction(0)
-    q = params.field.q
-    total = sum(poly_eval(s_prime, i) for i in range(1, params.rows + 1)) % q
-    if total != 0:
-        return Fraction(0)
-    ta, tb = params.tables(x, y)
-    pts = params.eval_set
-    true_vals = np.array(
-        [int(lde_eval_block(ta, int(r)) @ lde_eval_block(tb, int(r)) % q) for r in pts],
-        dtype=np.int64,
-    )
-    agree = int((poly_eval_many(s_prime, pts) == true_vals).sum())
-    size = len(pts)
+    agree = int((claim.values == inst.s_values).sum())
+    size = len(params.eval_set)
     c = params.samples_per_player
     p_outside_ok = _prob_no_common_hit(c, size - agree, size)
     p_no_collision = _prob_no_common_hit(c, size, size)

@@ -86,6 +86,25 @@ def next_prime_above(b: int) -> PrimeField:
     return PrimeField(q)
 
 
+_INT64_LIMIT = 1 << 63
+# Bound on the entries of each (points x rows) temporary in lde_eval_points.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _inv_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise a^(q-2) mod q by square-and-multiply: the inverse of each
+    entry, all of which must be nonzero mod q.  Needs (q - 1)^2 < 2^63."""
+    result = np.ones_like(a)
+    base = a % q
+    e = q - 2
+    while e:
+        if e & 1:
+            result = result * base % q
+        base = base * base % q
+        e >>= 1
+    return result
+
+
 @dataclass(frozen=True)
 class EvalTable:
     """Values a(i, j) in F_q on the grid [rows] x [cols] (1-based nodes)."""
@@ -96,7 +115,12 @@ class EvalTable:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError("values must be 2-d")
-        if ((self.values < 0) | (self.values >= self.field.q)).any():
+        q = self.field.q
+        if self.rows >= q:
+            raise ValueError(f"{self.rows} rows need nodes 1..rows distinct mod q={q}")
+        if max(self.rows, self.cols) * (q - 1) ** 2 >= _INT64_LIMIT:
+            raise ValueError(f"q={q} is too large for int64 arithmetic on this grid")
+        if ((self.values < 0) | (self.values >= q)).any():
             raise ValueError("entries must be reduced mod q")
         self.values.flags.writeable = False
 
@@ -117,17 +141,17 @@ class EvalTable:
 
     @cached_property
     def _bary_weights(self) -> np.ndarray:
-        """Barycentric weights w_i = prod_{k != i} (x_i - x_k)^(-1), nodes 1..rows."""
+        """Barycentric weights w_i = prod_{k != i} (i - k)^(-1) for the nodes
+        1..rows, where the product is (-1)^(rows-i) (i-1)! (rows-i)!."""
         q = self.field.q
         t = self.rows
-        w = np.empty(t, dtype=np.int64)
-        for i in range(1, t + 1):
-            p = 1
-            for k in range(1, t + 1):
-                if k != i:
-                    p = p * ((i - k) % q) % q
-            w[i - 1] = pow(int(p), q - 2, q)
-        return w
+        fact = np.ones(t, dtype=np.int64)  # fact[m] = m! mod q, nonzero as t < q
+        for m in range(1, t):
+            fact[m] = fact[m - 1] * m % q
+        prod = fact * fact[::-1] % q  # (i-1)! (t-i)! at index i-1
+        odd = (t - np.arange(1, t + 1)) % 2 == 1
+        prod[odd] = q - prod[odd]
+        return _inv_mod(prod, q)
 
 
 def lde_eval(table: EvalTable, r: int, j: int) -> int:
@@ -137,18 +161,33 @@ def lde_eval(table: EvalTable, r: int, j: int) -> int:
 
 def lde_eval_block(table: EvalTable, r: int) -> np.ndarray:
     """All column extensions at one point r: the vector (a~(r, j))_j."""
+    return lde_eval_points(table, [r])[0]
+
+
+def lde_eval_points(table: EvalTable, rs) -> np.ndarray:
+    """All column extensions at every point of rs: row k is (a~(rs[k], j))_j.
+
+    Barycentric form over the nodes 1..rows, a point on a node reading its
+    table row.  Points are taken in chunks so the (points x rows)
+    temporaries stay bounded however many points are asked for.
+    """
     q = table.field.q
     t = table.rows
-    r = r % q
+    pts = np.asarray(rs, dtype=np.int64).reshape(-1) % q
     nodes = np.arange(1, t + 1, dtype=np.int64)
-    diff = (r - nodes) % q
-    if (diff == 0).any():
-        return table.values[int(r) - 1].copy()
-    inv_diff = np.array([pow(int(d), q - 2, q) for d in diff], dtype=np.int64)
-    coeff = table._bary_weights * inv_diff % q
-    num = coeff @ table.values % q
-    den = int(coeff.sum() % q)
-    return num * pow(den, q - 2, q) % q
+    out = np.empty((len(pts), table.cols), dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // max(t, 1))
+    for lo in range(0, len(pts), step):
+        r = pts[lo : lo + step]
+        on_node = (r >= 1) & (r <= t)
+        diff = (r[:, None] - nodes) % q
+        diff[on_node] = 1  # placeholder; node rows are copied below
+        coeff = table._bary_weights * _inv_mod(diff, q) % q
+        block = coeff @ table.values % q
+        block = block * _inv_mod(coeff.sum(axis=1) % q, q)[:, None] % q
+        block[on_node] = table.values[r[on_node] - 1]
+        out[lo : lo + step] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,5 +291,5 @@ def s_polynomial(a: EvalTable, b: EvalTable) -> UniPoly:
     if npts > q:
         raise ValueError("field too small to host the interpolation nodes")
     xs = list(range(1, npts + 1))
-    ys = [int(lde_eval_block(a, r) @ lde_eval_block(b, r) % q) for r in xs]
-    return interpolate(xs, ys, a.field)
+    ys = (lde_eval_points(a, xs) * lde_eval_points(b, xs)).sum(axis=1) % q
+    return interpolate(xs, [int(v) for v in ys], a.field)

@@ -21,6 +21,8 @@ from typing import Callable
 
 from . import adversaries as adv
 from .classical import (
+    DisjClaim,
+    DisjInstance,
     DisjParams,
     NeRrrParams,
     OneOutOfTwoInstance,
@@ -417,20 +419,25 @@ def _plan_disj(config: ExperimentConfig) -> RunPlan:
     )
     kind = _instance_kind(config, default_kind)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
+    inst = DisjInstance.encode(x, y, params)
+    # disj strategies are deterministic, so one polynomial serves every trial.
+    claim = DisjClaim.of(strategy.polynomial(x, y, params, RandomSource(config.seed, 7)), params)
 
     def trial(rng):
-        verdict, _ = disj_rrr_run(x, y, strategy, params, rng)
+        verdict, _ = disj_rrr_run(inst, claim, params, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    def exact():
-        s_prime = strategy.polynomial(x, y, params, RandomSource(config.seed, 7))
-        return disj_rrr_soundness_exact(x, y, s_prime, params)
-
     def lengths():
-        _, tr = disj_rrr_run(x, y, strategy, params, RandomSource(config.seed, 7))
+        _, tr = disj_rrr_run(inst, claim, params, RandomSource(config.seed, 7))
         return tr.lengths()
 
-    return RunPlan(trial, exact, lengths, "RRR", _echo(x, y))
+    return RunPlan(
+        trial,
+        lambda: disj_rrr_soundness_exact(inst, claim, params),
+        lengths,
+        "RRR",
+        _echo(x, y),
+    )
 
 
 _PLANNERS = {

@@ -64,18 +64,18 @@ class TestNeTamper:
 
 class TestDisjWrongPoly:
     X, Y = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(2))
+    S_TRUE = s_polynomial(*DISJ.tables(X, Y))
 
     def test_block_sum_is_zero(self):
         q = DISJ.field.q
         for seed in range(50):
-            sp = adv.disj_wrong_poly(self.X, self.Y, DISJ, RandomSource(seed))
+            sp = adv.disj_wrong_poly(self.S_TRUE, DISJ, RandomSource(seed))
             assert sum(poly_eval(sp, i) for i in range(1, DISJ.rows + 1)) % q == 0
 
     def test_differs_from_true_polynomial_and_agreement_bounded(self):
-        ta, tb = DISJ.tables(self.X, self.Y)
-        s_true = s_polynomial(ta, tb)
+        s_true = self.S_TRUE
         for seed in range(50):
-            sp = adv.disj_wrong_poly(self.X, self.Y, DISJ, RandomSource(seed))
+            sp = adv.disj_wrong_poly(s_true, DISJ, RandomSource(seed))
             assert sp != s_true
             assert agreement_count(sp, s_true, DISJ.eval_set) <= (sp - s_true).degree
 

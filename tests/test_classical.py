@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from smplab.adversaries import (
     random_ne_message,
 )
 from smplab.classical import (
+    DisjClaim,
+    DisjInstance,
     DisjParams,
+    _prob_no_common_hit,
     NeMessage,
     NeRrrParams,
     OneOutOfTwoInstance,
@@ -40,7 +44,7 @@ from smplab.core import (
     hamming_distance,
     sample_instance,
 )
-from smplab.field import UniPoly
+from smplab.field import UniPoly, lde_eval_block, poly_eval
 
 
 def mc(fn, trials, seed):
@@ -326,6 +330,46 @@ class _NoCollisionScale:
     pass
 
 
+def prob_no_common_hit_reference(c, hit_size, set_size):
+    """The Fraction-valued DP _prob_no_common_hit replaced, kept as the
+    reference: the law of the distinct subset elements one player touches,
+    then the other player's chance of missing them all."""
+    probs = [Fraction(0)] * (min(c, hit_size) + 1)
+    probs[0] = Fraction(1)
+    for _ in range(c):
+        nxt = [Fraction(0)] * len(probs)
+        for d, p in enumerate(probs):
+            if p == 0:
+                continue
+            p_new = Fraction(hit_size - d, set_size)
+            if d + 1 < len(nxt):
+                nxt[d + 1] += p * p_new
+                nxt[d] += p * (1 - p_new)
+            else:
+                nxt[d] += p
+        probs = nxt
+    return sum(
+        p * Fraction(set_size - d, set_size) ** c for d, p in enumerate(probs) if p
+    )
+
+
+class TestProbNoCommonHit:
+    @given(st.integers(0, 14), st.integers(1, 40), st.data())
+    def test_matches_fraction_dp(self, c, set_size, data):
+        hit = data.draw(st.integers(0, set_size))
+        assert _prob_no_common_hit(c, hit, set_size) == prob_no_common_hit_reference(
+            c, hit, set_size
+        )
+
+    @pytest.mark.parametrize("hit", [0, 1, 150, 299, 300])
+    def test_desk_scale_edges(self, hit):
+        # the evaluator's own sizes: 41 draws each from |S| = 300
+        got = _prob_no_common_hit(41, hit, 300)
+        assert got == prob_no_common_hit_reference(41, hit, 300)
+        if hit == 0:
+            assert got == 1
+
+
 class TestDisjRrr:
     PARAMS = DisjParams.create(64, sample_scale=0.0232)
 
@@ -338,40 +382,47 @@ class TestDisjRrr:
         big = DisjParams.create(4096, alpha=0.5)
         assert not big.q_enlarged and 4096 < big.field.q <= 8192
 
+    def _encoded(self, kind, seed, strategy=DisjHonest(), params=None):
+        """The encoded pair drawn from `seed` and the strategy's claim on it."""
+        params = params or self.PARAMS
+        x, y = sample_instance(kind, 64, RandomSource(seed))
+        claim = DisjClaim.of(strategy.polynomial(x, y, params, None), params)
+        return DisjInstance.encode(x, y, params), claim
+
     def test_honest_disjoint_accepts_with_high_probability(self):
-        x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(48))
+        inst, honest = self._encoded(InstanceKind.DISJ_PAIR, 48)
         trials = 600
 
         def one(rng):
-            verdict, _ = disj_rrr_run(x, y, DisjHonest(), self.PARAMS, rng)
+            verdict, _ = disj_rrr_run(inst, honest, self.PARAMS, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 49)
         assert p_hat >= 0.9
 
     def test_honest_intersecting_always_rejected(self):
-        x, y = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(50))
-        honest = DisjHonest().polynomial(x, y, self.PARAMS, None)
-        assert disj_rrr_soundness_exact(x, y, honest, self.PARAMS) == 0
+        inst, honest = self._encoded(InstanceKind.INTERSECT_PAIR, 50)
+        assert disj_rrr_soundness_exact(inst, honest, self.PARAMS) == 0
         for t in range(50):
-            verdict, _ = disj_rrr_run(x, y, DisjHonest(), self.PARAMS, RandomSource(51).derive(1, t))
+            verdict, _ = disj_rrr_run(inst, honest, self.PARAMS, RandomSource(51).derive(1, t))
             assert verdict is Verdict.REJECT
 
     def test_degree_violation_rejected(self):
-        x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(52))
-        verdict, _ = disj_rrr_run(x, y, _HighDegree(), self.PARAMS, RandomSource(53))
+        inst, high = self._encoded(InstanceKind.DISJ_PAIR, 52, _HighDegree())
+        assert not high.passes
+        verdict, _ = disj_rrr_run(inst, high, self.PARAMS, RandomSource(53))
         assert verdict is Verdict.REJECT
-        assert disj_rrr_soundness_exact(x, y, _HighDegree().polynomial(x, y, self.PARAMS, None), self.PARAMS) == 0
+        assert disj_rrr_soundness_exact(inst, high, self.PARAMS) == 0
 
     def test_no_collision_rejects(self):
         # one draw each from a 300-point set: collisions are rare, and
         # every no-collision run must reject even on disjoint inputs
         params = DisjParams.create(64, sample_scale=1e-9)
         assert params.samples_per_player == 1
-        x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(54))
+        inst, honest = self._encoded(InstanceKind.DISJ_PAIR, 54, params=params)
         rejects = 0
         for t in range(300):
-            verdict, tr = disj_rrr_run(x, y, DisjHonest(), params, RandomSource(55).derive(1, t))
+            verdict, tr = disj_rrr_run(inst, honest, params, RandomSource(55).derive(1, t))
             a_r = tr.alice.payload[0][0]
             b_r = tr.bob.payload[0][0]
             if a_r != b_r:
@@ -380,27 +431,48 @@ class TestDisjRrr:
         assert rejects > 250
 
     def test_exact_matches_monte_carlo_for_cheating_prover(self):
-        x, y = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(56))
-        strategy = DisjWrongPoly(seed=11)
-        s_prime = strategy.polynomial(x, y, self.PARAMS, None)
-        exact = float(disj_rrr_soundness_exact(x, y, s_prime, self.PARAMS))
+        inst, claim = self._encoded(InstanceKind.INTERSECT_PAIR, 56, DisjWrongPoly(seed=11))
+        exact = float(disj_rrr_soundness_exact(inst, claim, self.PARAMS))
         trials = 1000
 
         def one(rng):
-            verdict, _ = disj_rrr_run(x, y, strategy, self.PARAMS, rng)
+            verdict, _ = disj_rrr_run(inst, claim, self.PARAMS, rng)
             return verdict is Verdict.ACCEPT
 
         p_hat = mc(one, trials, 57)
         tol = 3 * math.sqrt(max(exact * (1 - exact), 1 / trials) / trials)
         assert abs(p_hat - exact) <= tol
 
+    @pytest.mark.parametrize("n,alpha", [(64, 2.0 / 3.0), (16, 0.5)])
+    def test_encode_matches_per_point_blocks(self, n, alpha):
+        params = DisjParams.create(n, alpha=alpha, sample_scale=0.0232)
+        x, y = sample_instance(InstanceKind.INTERSECT_PAIR, n, RandomSource(62))
+        inst = DisjInstance.encode(x, y, params)
+        ta, tb = params.tables(x, y)
+        q = params.field.q
+        for k, r in enumerate(params.eval_set):
+            a, b = lde_eval_block(ta, int(r)), lde_eval_block(tb, int(r))
+            assert np.array_equal(inst.blocks_a[k], a)
+            assert np.array_equal(inst.blocks_b[k], b)
+            assert inst.s_values[k] == int(a @ b % q)
+        assert not inst.s_values.flags.writeable
+
+    def test_block_sum_matches_horner(self):
+        q = self.PARAMS.field.q
+        g = RandomSource(63).generator()
+        for _ in range(20):
+            p = UniPoly(tuple(int(v) for v in g.integers(0, q, size=31)), self.PARAMS.field)
+            direct = sum(poly_eval(p, i) for i in range(1, self.PARAMS.rows + 1)) % q
+            assert self.PARAMS.block_sum(p) == direct
+
     def test_samples_sorted_by_r(self):
-        x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(58))
-        _, tr = disj_rrr_run(x, y, DisjHonest(), self.PARAMS, RandomSource(59))
-        rs = [r for r, _ in tr.alice.payload]
-        assert rs == sorted(rs)
+        inst, honest = self._encoded(InstanceKind.DISJ_PAIR, 58)
+        _, tr = disj_rrr_run(inst, honest, self.PARAMS, RandomSource(59))
+        rs, blocks = tr.alice.payload
+        assert list(rs) == sorted(rs)
+        assert np.array_equal(blocks, inst.blocks_a[rs - 1])
 
     def test_expected_lengths_match_transcript(self):
-        x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(60))
-        _, tr = disj_rrr_run(x, y, DisjHonest(), self.PARAMS, RandomSource(61))
+        inst, honest = self._encoded(InstanceKind.DISJ_PAIR, 60)
+        _, tr = disj_rrr_run(inst, honest, self.PARAMS, RandomSource(61))
         assert tr.lengths() == self.PARAMS.expected_lengths()

@@ -14,6 +14,7 @@ from smplab.field import (
     is_prime,
     lde_eval,
     lde_eval_block,
+    lde_eval_points,
     next_prime_above,
     poly_eval,
     s_polynomial,
@@ -100,6 +101,87 @@ class TestLowDegreeExtension:
         for r in (3, 29, 170, 306):
             for j in range(1, tab.cols + 1):
                 assert lde_eval(tab, r, j) == naive_lagrange(tab, r, j)
+
+
+def lde_eval_block_reference(table, r):
+    """The per-point barycentric loop lde_eval_points replaced, kept as the
+    reference: Python-level weights and one pow per node."""
+    q = table.field.q
+    t = table.rows
+    r = r % q
+    nodes = np.arange(1, t + 1, dtype=np.int64)
+    diff = (r - nodes) % q
+    if (diff == 0).any():
+        return table.values[int(r) - 1].copy()
+    w = np.empty(t, dtype=np.int64)
+    for i in range(1, t + 1):
+        p = 1
+        for k in range(1, t + 1):
+            if k != i:
+                p = p * ((i - k) % q) % q
+        w[i - 1] = pow(int(p), q - 2, q)
+    inv_diff = np.array([pow(int(d), q - 2, q) for d in diff], dtype=np.int64)
+    coeff = w * inv_diff % q
+    num = coeff @ table.values % q
+    den = int(coeff.sum() % q)
+    return num * pow(den, q - 2, q) % q
+
+
+@st.composite
+def tables_and_points(draw):
+    q = draw(st.sampled_from([2, 3, 5, 17, 101, 307, 4099]))
+    rows = draw(st.integers(1, min(q - 1, 24)))
+    cols = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    vals = RandomSource(seed).generator().integers(0, q, size=(rows, cols))
+    # nodes, their wrapped copies, points >= q, zero and negatives
+    pts = draw(st.lists(
+        st.one_of(
+            st.integers(1, rows),
+            st.tuples(st.integers(1, rows), st.integers(1, 3)).map(lambda t: t[0] + q * t[1]),
+            st.integers(-3 * q, 3 * q),
+        ),
+        min_size=0, max_size=40,
+    ))
+    return EvalTable(vals.astype(np.int64), PrimeField(q)), pts
+
+
+class TestLdeEvalPoints:
+    @given(tables_and_points())
+    def test_matches_per_point_reference(self, case):
+        tab, pts = case
+        got = lde_eval_points(tab, pts)
+        assert got.shape == (len(pts), tab.cols)
+        for k, r in enumerate(pts):
+            assert np.array_equal(got[k], lde_eval_block_reference(tab, r))
+            assert np.array_equal(lde_eval_block(tab, r), got[k])
+
+    def test_chunks_match_one_pass(self):
+        # 2^16 / 64 rows = 1024 points a chunk: 3000 points take three chunks
+        q = 4099
+        vals = RandomSource(9).generator().integers(0, q, size=(64, 3)).astype(np.int64)
+        tab = EvalTable(vals, PrimeField(q))
+        pts = np.arange(3000, dtype=np.int64) * 7 + 1
+        got = lde_eval_points(tab, pts)
+        for k in (0, 1023, 1024, 2047, 2048, 2999):
+            assert np.array_equal(got[k], lde_eval_block_reference(tab, int(pts[k])))
+
+    def test_rows_must_fit_the_field(self):
+        # nodes 1..7 collide mod 5: the weights would silently be zero
+        with pytest.raises(ValueError):
+            EvalTable(np.zeros((7, 1), dtype=np.int64), PrimeField(5))
+        with pytest.raises(ValueError):
+            EvalTable(np.zeros((5, 1), dtype=np.int64), PrimeField(5))
+        EvalTable(np.zeros((4, 1), dtype=np.int64), PrimeField(5))
+
+    def test_field_too_large_for_int64_rejected(self):
+        big = next_prime_above(1 << 32)  # q^2 > 2^63
+        with pytest.raises(ValueError):
+            EvalTable(np.zeros((2, 2), dtype=np.int64), big)
+        near = next_prime_above(1 << 31)  # q^2 < 2^63, but 4 rows overflow a dot
+        EvalTable(np.zeros((1, 1), dtype=np.int64), near)
+        with pytest.raises(ValueError):
+            EvalTable(np.zeros((4, 1), dtype=np.int64), near)
 
 
 class TestSPolynomial:

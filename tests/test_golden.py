@@ -3,7 +3,8 @@
 The lines were captured before bit strings became array-backed and before
 plans encoded each instance once; the transfer-family lines in REJECT_PATHS
 before the shared block-verification kernel replaced the per-block loops of
-uqst and rrq-eq.  Any change to a record (p-hat, exact value,
+uqst and rrq-eq; the disj-rrr lines in REJECT_PATHS before disj-rrr plans
+encoded their instance and prover polynomial once.  Any change to a record (p-hat, exact value,
 lengths, instance echo) fails here.  A deliberate change to the RNG contract
 updates these lines once, with a note in CHANGES.md.
 """
@@ -50,9 +51,11 @@ GOLDEN = [
     ),
 ]
 
-# Transfer-family runs that reach the reject branches (wrong block count, too
-# few survivors, failed verification test, rejecting repetitions) the single
-# honest uqst line above never reaches.
+# Runs that reach the reject branches the single honest line per protocol
+# above never reaches: for the transfer family a wrong block count, too few
+# survivors, a failed verification test and rejecting repetitions; for
+# disj-rrr a wrong polynomial, a failed block sum, no collision at all, and
+# n=64 with an enlarged field.
 REJECT_PATHS = [
     (
         "uqst-far",
@@ -113,6 +116,36 @@ REJECT_PATHS = [
         "rrq-n16",
         dict(protocol="rrq-eq", n=16, trials=10, seed=3, options={"a": 16, "m_copies": 32}),
         '{"ci_half_width":0.5146997846583985,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"monte_carlo","n":16,"options":{"a":16,"m_copies":32},"protocol":"rrq-eq","repetitions":1,"scale":null,"seed":3,"trials":10,"workers":1},"exact":null,"exact_float":null,"extras":{},"instance":"0000001101101111 0000001101101111","lengths":{"alice":768,"bob":768,"merlin":288},"p_hat":0.2,"protocol_type":"RRQ","within_ci":null}',
+    ),
+    (
+        "disj-wrong-poly",
+        dict(protocol="disj-rrr", n=16, trials=40, seed=3, mode="both", scale=0.0232,
+             instance="intersect_pair", options={"alpha": 0.5},
+             adversary={"variant": "DisjWrongPoly", "seed": 4}),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":{"seed":4,"variant":"DisjWrongPoly"},"confidence_beta":0.01,"instance":"intersect_pair","mode":"both","n":16,"options":{"alpha":0.5},"protocol":"disj-rrr","repetitions":1,"scale":0.0232,"seed":3,"trials":40,"workers":1},"exact":"1231365066163452278540155046680866294565577462325473386861873/2062884959698107109234389811200000000000000000000000000000000000","exact_float":0.0005969140743280499,"extras":{},"instance":"0000001101101111 0000111000011111","lengths":{"alice":540,"bob":540,"merlin":42},"p_hat":0.0,"protocol_type":"RRR","within_ci":true}',
+    ),
+    (
+        "disj-honest-intersect",
+        dict(protocol="disj-rrr", n=16, trials=20, seed=3, mode="both", scale=0.0232,
+             instance="intersect_pair", options={"alpha": 0.5}),
+        '{"ci_half_width":0.3639477080072093,"config":{"adversary":null,"confidence_beta":0.01,"instance":"intersect_pair","mode":"both","n":16,"options":{"alpha":0.5},"protocol":"disj-rrr","repetitions":1,"scale":0.0232,"seed":3,"trials":20,"workers":1},"exact":"0","exact_float":0.0,"extras":{},"instance":"0000001101101111 0000111000011111","lengths":{"alice":540,"bob":540,"merlin":42},"p_hat":0.0,"protocol_type":"RRR","within_ci":true}',
+    ),
+    (
+        "disj-n64-enlarged",
+        dict(protocol="disj-rrr", n=64, trials=20, seed=3, mode="both", scale=0.0232),
+        '{"ci_half_width":0.3639477080072093,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"both","n":64,"options":{},"protocol":"disj-rrr","repetitions":1,"scale":0.0232,"seed":3,"trials":20,"workers":1},"exact":"441762869335506381427600043791283922379242488799275712788500454664104640305289869708048709512208327215088383736526517809479994750562939524267146675034986064488801060489311517108006894380963988923061031/443426488243037769948249630619149892803000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000","exact_float":0.9962482644775619,"extras":{},"instance":"0000001100000000000011100001110111000100110001010000000000111110 0000010001101111101000000110001000011010000110100101110010000001","lengths":{"alice":1845,"bob":1845,"merlin":279},"p_hat":1.0,"protocol_type":"RRR","within_ci":true}',
+    ),
+    (
+        "disj-no-collision",
+        dict(protocol="disj-rrr", n=16, trials=40, seed=3, mode="both", scale=1e-09,
+             options={"alpha": 0.5}),
+        '{"ci_half_width":0.25734989232919925,"config":{"adversary":null,"confidence_beta":0.01,"instance":null,"mode":"both","n":16,"options":{"alpha":0.5},"protocol":"disj-rrr","repetitions":1,"scale":1e-09,"seed":3,"trials":40,"workers":1},"exact":"1/60","exact_float":0.016666666666666666,"extras":{},"instance":"0000001100000000 0000010001101111","lengths":{"alice":30,"bob":30,"merlin":42},"p_hat":0.0,"protocol_type":"RRR","within_ci":true}',
+    ),
+    (
+        "disj-wrong-poly-n64",
+        dict(protocol="disj-rrr", n=64, trials=20, seed=5, mode="both", scale=0.0232,
+             instance="intersect_pair", adversary={"variant": "DisjWrongPoly", "seed": 7}),
+        '{"ci_half_width":0.3639477080072093,"config":{"adversary":{"seed":7,"variant":"DisjWrongPoly"},"confidence_beta":0.01,"instance":"intersect_pair","mode":"both","n":64,"options":{},"protocol":"disj-rrr","repetitions":1,"scale":0.0232,"seed":5,"trials":20,"workers":1},"exact":"10696530671091026103267300088164000615109648110622699309587849234636079844820602128329826801688879692694112735916947160126443286455292082569523088573300576425118108394867150269232450591218553243463401/133027946472911330984474889185744967840900000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000","exact_float":8.040814696984875e-05,"extras":{},"instance":"1111000101101111011111011110100000101111011001011010110011000000 1010101010101111000001010000100110111011010101011100101010001001","lengths":{"alice":1845,"bob":1845,"merlin":279},"p_hat":0.0,"protocol_type":"RRR","within_ci":true}',
     ),
 ]
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from smplab import adversaries as adv
 from smplab.acceptance import run_criterion, verify_suite
 from smplab.codes import CodeSpec
 from smplab.harness import (
@@ -133,6 +134,39 @@ class TestOncePerRun:
                                  mode="both", workers=1, **fields))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("variant,instance", [
+        ("DisjHonest", "disj_pair"),
+        ("DisjHonest", "intersect_pair"),
+        ("DisjWrongPoly", "intersect_pair"),
+    ])
+    def test_disj_polynomial_count_independent_of_trials(
+        self, count_calls, monkeypatch, variant, instance
+    ):
+        import smplab.field
+
+        s_calls = count_calls(smplab.field.s_polynomial)
+        lde_calls = count_calls(smplab.field.lde_eval_points)
+        strategy = getattr(adv, variant)
+        original = strategy.polynomial
+        poly_calls = []
+
+        def polynomial(self, *args):
+            poly_calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(strategy, "polynomial", polynomial)
+        counts = []
+        for trials in (1, 50):
+            for calls in (s_calls, lde_calls, poly_calls):
+                calls.clear()
+            run(ExperimentConfig(protocol="disj-rrr", n=16, trials=trials, seed=4,
+                                 mode="both", scale=0.0232, options={"alpha": 0.5},
+                                 instance=instance, adversary={"variant": variant},
+                                 workers=1))
+            counts.append((len(poly_calls), len(s_calls), len(lde_calls)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1] == 1
 
     def test_serial_run_builds_its_plan_once(self, count_calls):
         import smplab.harness
