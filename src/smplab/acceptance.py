@@ -34,7 +34,7 @@ from .classical import (
 )
 from .codes import CodeSpec, encode_all, grid_of
 from .core import BitString, InstanceKind, RandomSource, Verdict, sample_instance
-from .field import agreement_count, poly_eval, s_polynomial
+from .field import agreement_count, poly_eval
 from .harness import ExperimentConfig, build_plan, hoeffding_half_width
 from .qsim import (
     dephase_across_blocks,
@@ -316,7 +316,7 @@ def crit_10_disj_completeness(seed: int) -> tuple[bool, str]:
     trials = 2000
     x, y = sample_instance(InstanceKind.DISJ_PAIR, 64, RandomSource(seed, 1000))
     inst = DisjInstance.encode(x, y, params)
-    honest = DisjClaim.of(adv.DisjHonest().polynomial(x, y, params, None), params)
+    honest = DisjClaim.of(adv.DisjHonest().polynomial(inst, params, None), params)
     accepts = sum(
         disj_rrr_run(inst, honest, params, RandomSource(seed, 1001).derive(1, t))[0]
         is Verdict.ACCEPT
@@ -328,7 +328,7 @@ def crit_10_disj_completeness(seed: int) -> tuple[bool, str]:
 
     xi, yi = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(seed, 1002))
     inst_i = DisjInstance.encode(xi, yi, params)
-    honest_i = DisjClaim.of(adv.DisjHonest().polynomial(xi, yi, params, None), params)
+    honest_i = DisjClaim.of(adv.DisjHonest().polynomial(inst_i, params, None), params)
     exact = disj_rrr_soundness_exact(inst_i, honest_i, params)
     reject_ok = exact == 0 and all(
         disj_rrr_run(inst_i, honest_i, params, RandomSource(seed, 1004).derive(1, t))[0]
@@ -349,7 +349,7 @@ def crit_11_disj_soundness(seed: int) -> tuple[bool, str]:
     params = DisjParams.create(64, sample_scale=DISJ_DESK_SCALE)
     x, y = sample_instance(InstanceKind.INTERSECT_PAIR, 64, RandomSource(seed, 1100))
     inst = DisjInstance.encode(x, y, params)
-    s_true = s_polynomial(*params.tables(x, y))
+    s_true = adv.DisjHonest().polynomial(inst, params, None)
     q = params.field.q
     max_agree = 0
     for t in range(1000):
@@ -366,7 +366,7 @@ def crit_11_disj_soundness(seed: int) -> tuple[bool, str]:
     mc_ok = True
     details = []
     for k in range(3):
-        s_prime = adv.DisjWrongPoly(seed=seed + k).polynomial(x, y, params, None)
+        s_prime = adv.DisjWrongPoly(seed=seed + k).polynomial(inst, params, None)
         claim = DisjClaim.of(s_prime, params)
         exact = float(disj_rrr_soundness_exact(inst, claim, params))
         accepts = sum(

@@ -9,15 +9,17 @@ exact evaluators can reproduce them; this is the soundness test surface.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .classical import DisjParams, NeMessage, NeRrrParams, honest_ne_message
+from .classical import DisjInstance, DisjParams, NeMessage, NeRrrParams, honest_ne_message
 from .codes import grid_of, row
-from .core import BitString, RandomSource
-from .field import UniPoly, s_polynomial
+from .core import BitString, ConfigError, RandomSource
+from .field import UniPoly, interpolate
 from .qsim import MixedEnsemble, ProductState, StateVec, dephase_across_blocks, random_state
 
 
@@ -101,10 +103,19 @@ def disj_wrong_poly(s: UniPoly, params: DisjParams, rng: RandomSource) -> UniPol
     return UniPoly(tuple((a + b) % q for a, b in zip(coeffs_s, coeffs_d)), params.field)
 
 
+def _true_polynomial(inst: DisjInstance, params: DisjParams) -> UniPoly:
+    """s itself, interpolated from the encoding's true values at the first
+    2*rows - 1 points of S; the same nodes and values as s_polynomial."""
+    npts = 2 * params.rows - 1
+    return interpolate(
+        params.eval_set[:npts].tolist(), inst.s_values[:npts].tolist(), params.field
+    )
+
+
 @dataclass(frozen=True)
 class DisjHonest:
-    def polynomial(self, x, y, params, rng) -> UniPoly:
-        return s_polynomial(*params.tables(x, y))
+    def polynomial(self, inst: DisjInstance, params, rng) -> UniPoly:
+        return _true_polynomial(inst, params)
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,8 @@ class DisjWrongPoly:
 
     seed: int = 0
 
-    def polynomial(self, x, y, params, rng) -> UniPoly:
-        s = s_polynomial(*params.tables(x, y))
+    def polynomial(self, inst: DisjInstance, params, rng) -> UniPoly:
+        s = _true_polynomial(inst, params)
         return disj_wrong_poly(s, params, RandomSource(self.seed, 0x0D15))
 
 
@@ -192,6 +203,12 @@ class ProductCopies:
         return ProductState((self.state,) * params.m_copies)
 
 
+@dataclass(frozen=True)
+class QrqCrossFingerprint:
+    """Copies of Alice's fingerprint f_x where f_y belongs; the qrq-eq plan
+    runs it as ProductCopies(f_x), since only the plan knows f_x."""
+
+
 def uqst_entangled_pair(d1: int, d2: int) -> tuple[StateVec, MixedEnsemble]:
     """Maximally entangled two-block state plus its dephased ensemble; used
     only to validate that block-local measurement statistics coincide."""
@@ -205,64 +222,72 @@ def uqst_entangled_pair(d1: int, d2: int) -> tuple[StateVec, MixedEnsemble]:
     return joint, dephase_across_blocks(joint, d1, d2)
 
 
-@dataclass(frozen=True)
-class UqstEntangledPair:
-    """Entangled two-block probe for the dephasing claim.  Deliberately not a
-    run adversary (density-matrix cost); it only exposes the pair."""
-
-    d1: int = 2
-    d2: int = 2
-
-    def pair(self) -> tuple[StateVec, MixedEnsemble]:
-        return uqst_entangled_pair(self.d1, self.d2)
-
-
 # ---------------------------------------------------------------------------
 # JSON strategy specs (harness configuration)
 
-_MARKER_VARIANTS = ("QrqCrossFingerprint", "RrqOrthogonalJunk")
+_TRANSFER = ("uqst", "qrq-eq", "rrq-eq")
 
 
 @dataclass(frozen=True)
-class ProtocolResolved:
-    """Marker for variants the protocol adapter must translate (they need
-    protocol context such as the other player's input)."""
+class Variant:
+    """One JSON strategy variant: its constructor, whose parameters are the
+    spec's fields (a parameter with a default is an optional field), and the
+    protocols whose plans can run what it builds."""
 
-    variant: str
+    build: Callable[..., object]
+    protocols: tuple[str, ...]
 
 
-def parse_strategy(spec: dict | None):
-    """Build a strategy from a JSON dict {"variant": name, ...params}."""
+def _ne_arbitrary(k_row, r_row, s_row) -> NeArbitrary:
+    return NeArbitrary(
+        NeMessage(int(k_row), BitString.from_text(r_row), BitString.from_text(s_row))
+    )
+
+
+def _uqst_mixed(components, seed=0) -> UqstMixed:
+    comps = tuple((float(c["weight"]), float(c["gamma"])) for c in components)
+    return UqstMixed(comps, int(seed))
+
+
+# Protocols that no variant lists (eq-rr, one-of-two, eq-qq) take no adversary.
+VARIANTS = {
+    "NeHonest": Variant(NeHonest, ("ne-rrr",)),
+    "NeTamper": Variant(
+        lambda u, v, row_choice=1: NeTamper(int(u), int(v), int(row_choice)), ("ne-rrr",)
+    ),
+    "NeArbitrary": Variant(_ne_arbitrary, ("ne-rrr",)),
+    "DisjHonest": Variant(DisjHonest, ("disj-rrr",)),
+    "DisjWrongPoly": Variant(lambda seed=0: DisjWrongPoly(int(seed)), ("disj-rrr",)),
+    "UqstHonest": Variant(UqstHonest, _TRANSFER),
+    "UqstFarProduct": Variant(
+        lambda gamma, seed=0: UqstFarProduct(float(gamma), int(seed)), _TRANSFER
+    ),
+    "UqstMixed": Variant(_uqst_mixed, _TRANSFER),
+    "UqstWrongCount": Variant(lambda count: UqstWrongCount(int(count)), _TRANSFER),
+    "QrqCrossFingerprint": Variant(QrqCrossFingerprint, ("qrq-eq",)),
+    "RrqOrthogonalJunk": Variant(lambda: UqstFarProduct(1.0), ("rrq-eq",)),
+}
+
+
+def parse_strategy(spec: dict | None, protocol: str):
+    """The strategy that the JSON spec {"variant": name, ...fields} builds for
+    a run of `protocol`; no spec gives None.  A spec the protocol cannot run
+    raises ConfigError naming the protocol and the variants it accepts."""
     if spec is None:
         return None
-    kind = spec.get("variant")
-    if kind == "NeHonest":
-        return NeHonest()
-    if kind == "NeTamper":
-        return NeTamper(int(spec["u"]), int(spec["v"]), int(spec.get("row_choice", 1)))
-    if kind == "NeArbitrary":
-        return NeArbitrary(
-            NeMessage(
-                int(spec["k_row"]),
-                BitString.from_text(spec["r_row"]),
-                BitString.from_text(spec["s_row"]),
-            )
-        )
-    if kind == "DisjHonest":
-        return DisjHonest()
-    if kind == "DisjWrongPoly":
-        return DisjWrongPoly(int(spec.get("seed", 0)))
-    if kind == "UqstHonest":
-        return UqstHonest()
-    if kind == "UqstFarProduct":
-        return UqstFarProduct(float(spec["gamma"]), int(spec.get("seed", 0)))
-    if kind == "UqstMixed":
-        comps = tuple((float(c["weight"]), float(c["gamma"])) for c in spec["components"])
-        return UqstMixed(comps, int(spec.get("seed", 0)))
-    if kind == "UqstWrongCount":
-        return UqstWrongCount(int(spec["count"]))
-    if kind == "UqstEntangledPair":
-        return UqstEntangledPair(int(spec.get("d1", 2)), int(spec.get("d2", 2)))
-    if kind in _MARKER_VARIANTS:
-        return ProtocolResolved(kind)
-    raise ValueError(f"unknown strategy variant {kind!r}")
+    accepted = [name for name, variant in VARIANTS.items() if protocol in variant.protocols]
+    if not accepted:
+        raise ConfigError(f"{protocol} takes no adversary")
+    valid = f"{protocol} accepts {', '.join(accepted)}"
+    if not isinstance(spec, dict):
+        raise ConfigError(f"adversary spec {spec!r} is not a JSON object; {valid}")
+    fields = dict(spec)
+    name = fields.pop("variant", None)
+    if name not in accepted:
+        raise ConfigError(f"adversary {name!r} is not a {protocol} variant; {valid}")
+    build = VARIANTS[name].build
+    try:
+        inspect.signature(build).bind(**fields)
+        return build(**fields)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} spec {spec}: {exc}; {valid}") from exc

@@ -61,20 +61,17 @@ def _gf_tables(s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hadamard_table(s: int) -> np.ndarray:
-    """Row v = Hadamard codeword of the s-bit message v: bit a = <a, v> mod 2."""
-    size = 1 << s
-    a = np.arange(size, dtype=np.uint32)
-    ands = a[None, :] & a[:, None]
-    return _parity_u32(ands)
-
-
-def _parity_u32(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> 16)
-    x = x ^ (x >> 8)
-    x = x ^ (x >> 4)
-    x = x ^ (x >> 2)
-    x = x ^ (x >> 1)
-    return (x & 1).astype(np.uint8)
+    """Row v = Hadamard codeword of the s-bit message v: bit a = <a, v> mod 2.
+    Built by Sylvester doubling: each step adds a new top bit to a and v,
+    which flips <a, v> exactly where both top bits are 1."""
+    h = np.zeros((1, 1), dtype=np.uint8)
+    for _ in range(s):
+        n = len(h)
+        doubled = np.empty((2 * n, 2 * n), dtype=np.uint8)
+        doubled[:n, :n] = doubled[:n, n:] = doubled[n:, :n] = h
+        doubled[n:, n:] = h ^ 1
+        h = doubled
+    return h
 
 
 def hadamard_codeword(value: int, s: int) -> BitString:
@@ -159,9 +156,6 @@ class CodeSpec:
         elif cols is None:
             cols = math.ceil(block / rows)
         return CodeSpec(n=n, s=s, n_sym=n_sym, n_rs=n_rs, rows=rows, cols=cols)
-
-    def with_grid(self, rows: int, cols: int) -> "CodeSpec":
-        return CodeSpec(self.n, self.s, self.n_sym, self.n_rs, rows, cols)
 
     @cached_property
     def _tables(self):

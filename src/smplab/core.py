@@ -18,6 +18,10 @@ _MASK64 = (1 << 64) - 1
 _ORD_0 = ord("0")
 
 
+class ConfigError(ValueError):
+    """Bad experiment configuration (reported before any trial runs)."""
+
+
 class Verdict(Enum):
     """Accept/reject outcome of a decision protocol."""
 

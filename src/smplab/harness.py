@@ -37,7 +37,7 @@ from .classical import (
     one_out_of_two_run,
 )
 from .codes import CodeSpec, grid_of
-from .core import InstanceKind, OneOutOfTwoVerdict, RandomSource, Verdict, sample_instance
+from .core import ConfigError, InstanceKind, OneOutOfTwoVerdict, RandomSource, Verdict, sample_instance
 from .qsim import fingerprint, random_state, trace_distance_pure
 from .quantum import RrqParams, UqstParams, eq_qq_round_prob, eq_qq_run, qrq_eq_run, rrq_eq_run, uqst_run
 
@@ -54,10 +54,6 @@ PROTOCOL_IDS = (
 
 _INSTANCE_STREAM = 0xBEEF
 _TRIAL_STREAM = 1
-
-
-class ConfigError(ValueError):
-    """Bad experiment configuration (reported before any trial runs)."""
 
 
 @dataclass(frozen=True)
@@ -186,30 +182,11 @@ def _instance_kind(config: ExperimentConfig, default: InstanceKind) -> InstanceK
         raise ConfigError(f"unknown instance kind {config.instance!r}") from exc
 
 
-def _strategy(config: ExperimentConfig, default):
-    if config.adversary is None:
-        return default
-    try:
-        return adv.parse_strategy(config.adversary)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad adversary spec: {exc}") from exc
-
-
-def _require_strategy_api(strategy, method: str, protocol: str):
-    """Incompatible protocol/adversary pairs fail before any trial runs."""
-    if not callable(getattr(strategy, method, None)):
-        raise ConfigError(
-            f"adversary {type(strategy).__name__} is not compatible with {protocol}"
-        )
-
-
 def _echo(*parts) -> str:
     return " ".join(str(p) for p in parts)
 
 
-def _plan_eq_rr(config: ExperimentConfig) -> RunPlan:
-    if config.adversary is not None:
-        raise ConfigError("eq-rr takes no adversary")
+def _plan_eq_rr(config: ExperimentConfig, strategy) -> RunPlan:
     spec = CodeSpec.create(config.n)
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
@@ -226,9 +203,7 @@ def _plan_eq_rr(config: ExperimentConfig) -> RunPlan:
     return RunPlan(trial, lambda: eq_rr_exact(gx, gy), lengths, "RR", _echo(x, y))
 
 
-def _plan_one_of_two(config: ExperimentConfig) -> RunPlan:
-    if config.adversary is not None:
-        raise ConfigError("one-of-two takes no adversary")
+def _plan_one_of_two(config: ExperimentConfig, strategy) -> RunPlan:
     params = OneOutOfTwoParams.create(config.n)
     kind = _instance_kind(config, InstanceKind.ONE_OUT_OF_TWO_TRIPLE)
     if kind is not InstanceKind.ONE_OUT_OF_TWO_TRIPLE:
@@ -250,15 +225,14 @@ def _plan_one_of_two(config: ExperimentConfig) -> RunPlan:
     )
 
 
-def _plan_ne_rrr(config: ExperimentConfig) -> RunPlan:
+def _plan_ne_rrr(config: ExperimentConfig, strategy) -> RunPlan:
     params = NeRrrParams.create(
         config.n,
         repetitions=config.repetitions,
         rows=config.options.get("rows"),
         cols=config.options.get("cols"),
     )
-    strategy = _strategy(config, adv.NeHonest())
-    _require_strategy_api(strategy, "message", "ne-rrr")
+    strategy = strategy or adv.NeHonest()
     default_kind = (
         InstanceKind.NE_PAIR
         if isinstance(strategy, adv.NeHonest)
@@ -284,9 +258,7 @@ def _plan_ne_rrr(config: ExperimentConfig) -> RunPlan:
     return RunPlan(trial, exact, lengths, "RRR", _echo(x, y))
 
 
-def _plan_eq_qq(config: ExperimentConfig) -> RunPlan:
-    if config.adversary is not None:
-        raise ConfigError("eq-qq takes no adversary")
+def _plan_eq_qq(config: ExperimentConfig, strategy) -> RunPlan:
     spec = CodeSpec.create(config.n)
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
@@ -318,12 +290,9 @@ def _uqst_params(config: ExperimentConfig, n: int) -> UqstParams:
     )
 
 
-def _plan_uqst(config: ExperimentConfig) -> RunPlan:
+def _plan_uqst(config: ExperimentConfig, strategy) -> RunPlan:
     params = _uqst_params(config, config.n)
-    strategy = _strategy(config, adv.UqstHonest())
-    if isinstance(strategy, adv.ProtocolResolved):
-        raise ConfigError(f"{strategy.variant} is not a uqst adversary")
-    _require_strategy_api(strategy, "blocks", "uqst")
+    strategy = strategy or adv.UqstHonest()
     phi = random_state(config.n, RandomSource(config.seed, _INSTANCE_STREAM).generator())
     mode = config.options.get("referee_mode", "swap")
 
@@ -345,7 +314,7 @@ def _plan_uqst(config: ExperimentConfig) -> RunPlan:
     return RunPlan(trial, lambda: None, lengths, "RQ", _echo("haar-state", config.n))
 
 
-def _plan_qrq(config: ExperimentConfig) -> RunPlan:
+def _plan_qrq(config: ExperimentConfig, strategy) -> RunPlan:
     spec = CodeSpec.create(config.n)
     fdim = 2 * spec.block_len
     opts = dict(config.options)
@@ -355,12 +324,9 @@ def _plan_qrq(config: ExperimentConfig) -> RunPlan:
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
-    strategy = _strategy(config, adv.UqstHonest())
-    if isinstance(strategy, adv.ProtocolResolved):
-        if strategy.variant != "QrqCrossFingerprint":
-            raise ConfigError(f"{strategy.variant} is not a qrq adversary")
+    strategy = strategy or adv.UqstHonest()
+    if isinstance(strategy, adv.QrqCrossFingerprint):
         strategy = adv.ProductCopies(f_x)
-    _require_strategy_api(strategy, "blocks", "qrq-eq")
 
     def trial(rng):
         verdict, _ = qrq_eq_run(x, y, f_x, f_y, params, strategy, rng, config.repetitions)
@@ -375,7 +341,7 @@ def _plan_qrq(config: ExperimentConfig) -> RunPlan:
     return RunPlan(trial, lambda: None, lengths, "QRQ", _echo(x, y))
 
 
-def _plan_rrq(config: ExperimentConfig) -> RunPlan:
+def _plan_rrq(config: ExperimentConfig, strategy) -> RunPlan:
     spec = CodeSpec.create(config.n)
     fdim = 2 * spec.block_len
     params = RrqParams(
@@ -386,12 +352,7 @@ def _plan_rrq(config: ExperimentConfig) -> RunPlan:
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
-    strategy = _strategy(config, adv.UqstHonest())
-    if isinstance(strategy, adv.ProtocolResolved):
-        if strategy.variant != "RrqOrthogonalJunk":
-            raise ConfigError(f"{strategy.variant} is not an rrq adversary")
-        strategy = adv.UqstFarProduct(1.0)
-    _require_strategy_api(strategy, "blocks", "rrq-eq")
+    strategy = strategy or adv.UqstHonest()
 
     def trial(rng):
         verdict, _ = rrq_eq_run(x, y, f_x, f_y, params, strategy, rng)
@@ -404,14 +365,13 @@ def _plan_rrq(config: ExperimentConfig) -> RunPlan:
     return RunPlan(trial, lambda: None, lengths, "RRQ", _echo(x, y))
 
 
-def _plan_disj(config: ExperimentConfig) -> RunPlan:
+def _plan_disj(config: ExperimentConfig, strategy) -> RunPlan:
     params = DisjParams.create(
         config.n,
         alpha=float(config.options.get("alpha", 2.0 / 3.0)),
         sample_scale=config.scale if config.scale is not None else 1.0,
     )
-    strategy = _strategy(config, adv.DisjHonest())
-    _require_strategy_api(strategy, "polynomial", "disj-rrr")
+    strategy = strategy or adv.DisjHonest()
     default_kind = (
         InstanceKind.DISJ_PAIR
         if isinstance(strategy, adv.DisjHonest)
@@ -421,7 +381,7 @@ def _plan_disj(config: ExperimentConfig) -> RunPlan:
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     inst = DisjInstance.encode(x, y, params)
     # disj strategies are deterministic, so one polynomial serves every trial.
-    claim = DisjClaim.of(strategy.polynomial(x, y, params, RandomSource(config.seed, 7)), params)
+    claim = DisjClaim.of(strategy.polynomial(inst, params, RandomSource(config.seed, 7)), params)
 
     def trial(rng):
         verdict, _ = disj_rrr_run(inst, claim, params, rng)
@@ -453,8 +413,10 @@ _PLANNERS = {
 
 
 def build_plan(config: ExperimentConfig) -> RunPlan:
+    """The run's plan; each planner gets the spec's strategy, or None."""
     try:
-        return _PLANNERS[config.protocol](config)
+        strategy = adv.parse_strategy(config.adversary, config.protocol)
+        return _PLANNERS[config.protocol](config, strategy)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -538,10 +500,11 @@ def run(config: ExperimentConfig) -> TrialReport:
 
 
 def sweep(template: ExperimentConfig, points: list[dict]) -> list[TrialReport]:
-    """One report per grid point; each point overrides template fields."""
+    """One report per grid point; each point overrides template fields.  Every
+    point's config and adversary are checked before the first point runs."""
     if not points:
         raise ConfigError("sweep needs at least one grid point")
-    reports = []
+    configs = []
     for point in points:
         data = template.to_json()
         for key, value in point.items():
@@ -549,8 +512,10 @@ def sweep(template: ExperimentConfig, points: list[dict]) -> list[TrialReport]:
                 data["options"] = {**data.get("options", {}), **value}
             else:
                 data[key] = value
-        reports.append(run(ExperimentConfig.from_json(data)))
-    return reports
+        config = ExperimentConfig.from_json(data)
+        adv.parse_strategy(config.adversary, config.protocol)
+        configs.append(config)
+    return [run(config) for config in configs]
 
 
 def persist(reports: list[TrialReport], out: str) -> tuple[str, str]:

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab import adversaries as adv
-from smplab.classical import DisjParams, NeRrrParams, ne_rrr_exact
+from smplab.classical import DisjInstance, DisjParams, NeRrrParams, ne_rrr_exact
 from smplab.codes import grid_of
-from smplab.core import BitString, InstanceKind, RandomSource, sample_instance
+from smplab.core import BitString, ConfigError, InstanceKind, RandomSource, sample_instance
 from smplab.field import agreement_count, poly_eval, s_polynomial
 from smplab.qsim import (
     fidelity,
@@ -81,9 +83,24 @@ class TestDisjWrongPoly:
 
     def test_strategy_is_deterministic_across_trials(self):
         strat = adv.DisjWrongPoly(seed=4)
-        p1 = strat.polynomial(self.X, self.Y, DISJ, RandomSource(0))
-        p2 = strat.polynomial(self.X, self.Y, DISJ, RandomSource(999))
+        inst = DisjInstance.encode(self.X, self.Y, DISJ)
+        p1 = strat.polynomial(inst, DISJ, RandomSource(0))
+        p2 = strat.polynomial(inst, DISJ, RandomSource(999))
         assert p1 == p2
+
+
+class TestDisjHonest:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(16, 0.5), (27, 2.0 / 3.0), (64, 2.0 / 3.0)]), st.data())
+    def test_polynomial_from_encoding_equals_s_polynomial(self, shape, data):
+        n, alpha = shape
+        params = DisjParams.create(n, alpha=alpha)
+        x, y = (BitString(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+                for _ in range(2))
+        inst = DisjInstance.encode(x, y, params)
+        assert adv.DisjHonest().polynomial(inst, params, None) == s_polynomial(
+            *params.tables(x, y)
+        )
 
 
 class TestUqstFarProduct:
@@ -182,26 +199,40 @@ class TestParseStrategy:
                 {"variant": "UqstMixed", "components": [{"weight": 1.0, "gamma": 0.5}]},
                 adv.UqstMixed,
             ),
-            ({"variant": "UqstEntangledPair", "d1": 2, "d2": 2}, adv.UqstEntangledPair),
-            ({"variant": "QrqCrossFingerprint"}, adv.ProtocolResolved),
+            ({"variant": "RrqOrthogonalJunk"}, adv.UqstFarProduct),
+            ({"variant": "QrqCrossFingerprint"}, adv.QrqCrossFingerprint),
         ],
     )
     def test_variants(self, spec, cls):
-        assert isinstance(adv.parse_strategy(spec), cls)
-
-    def test_entangled_pair_strategy_exposes_probe(self):
-        joint, ens = adv.UqstEntangledPair(2, 2).pair()
-        assert joint.dim == 4 and len(ens.states) == 2
+        protocol = adv.VARIANTS[spec["variant"]].protocols[-1]
+        assert isinstance(adv.parse_strategy(spec, protocol), cls)
 
     def test_arbitrary_message(self):
         spec = {"variant": "NeArbitrary", "k_row": 2, "r_row": "0101", "s_row": "1010"}
-        strat = adv.parse_strategy(spec)
+        strat = adv.parse_strategy(spec, "ne-rrr")
         msg = strat.message(None, None, None, None)
         assert msg.k_row == 2 and msg.r_row == BitString.from_text("0101")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            adv.parse_strategy({"variant": "Nope"})
+            adv.parse_strategy({"variant": "Nope"}, "ne-rrr")
 
     def test_none_passthrough(self):
-        assert adv.parse_strategy(None) is None
+        assert adv.parse_strategy(None, "ne-rrr") is None
+
+    @pytest.mark.parametrize("spec", [
+        ["NeTamper", 1, 0],
+        {"u": 1, "v": 0},
+        {"variant": "NeTamper", "u": 1},
+        {"variant": "NeTamper", "u": [1], "v": 0},
+        {"variant": "NeTamper", "u": 1, "v": 0, "bogus": 1},
+        {"variant": "NeArbitrary", "k_row": 1, "r_row": 101, "s_row": "1"},
+    ])
+    def test_malformed_spec_names_protocol_and_its_variants(self, spec):
+        with pytest.raises(ConfigError, match="ne-rrr accepts NeHonest, NeTamper, NeArbitrary"):
+            adv.parse_strategy(spec, "ne-rrr")
+
+    def test_mixture_components_must_be_weight_gamma_objects(self):
+        for components in (5, [0.5], [{"weight": 1.0}]):
+            with pytest.raises(ConfigError, match="uqst accepts"):
+                adv.parse_strategy({"variant": "UqstMixed", "components": components}, "uqst")

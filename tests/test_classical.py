@@ -320,7 +320,7 @@ class TestEqRrBaseline:
 
 
 class _HighDegree:
-    def polynomial(self, x, y, params, rng):
+    def polynomial(self, inst, params, rng):
         coeffs = [0] * (params.degree_bound + 2)
         coeffs[-1] = 1
         return UniPoly(tuple(coeffs), params.field)
@@ -386,8 +386,8 @@ class TestDisjRrr:
         """The encoded pair drawn from `seed` and the strategy's claim on it."""
         params = params or self.PARAMS
         x, y = sample_instance(kind, 64, RandomSource(seed))
-        claim = DisjClaim.of(strategy.polynomial(x, y, params, None), params)
-        return DisjInstance.encode(x, y, params), claim
+        inst = DisjInstance.encode(x, y, params)
+        return inst, DisjClaim.of(strategy.polynomial(inst, params, None), params)
 
     def test_honest_disjoint_accepts_with_high_probability(self):
         inst, honest = self._encoded(InstanceKind.DISJ_PAIR, 48)

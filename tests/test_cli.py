@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from smplab.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 
 
@@ -42,6 +44,18 @@ class TestRunCommand:
              "--trials", "5"]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("protocol,adversary", [
+        ("uqst", {"variant": "UqstMixed", "components": 5}),
+        ("ne-rrr", "NeHonest"),
+        ("ne-rrr", {"variant": "QrqCrossFingerprint"}),
+        ("ne-rrr", {"variant": "NeTamper", "u": 1, "v": 0, "bogus": 1}),
+    ])
+    def test_malformed_adversary_exits_with_config_code(self, capsys, protocol, adversary):
+        code = main(["run", "--protocol", protocol, "--adversary", json.dumps(adversary),
+                     "--trials", "5"])
+        assert code == EXIT_CONFIG
+        assert f"{protocol} accepts" in capsys.readouterr().err
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import pytest
 from smplab.codes import (
     CodeSpec,
     GridCodeword,
+    _hadamard_table,
     best_row,
     column,
     encode,
@@ -50,6 +51,16 @@ class TestEncoder:
         for a in range(1 << s):
             for b in range(a + 1, 1 << s):
                 assert hamming_distance(words[a], words[b]) == (1 << s) // 2
+
+    @pytest.mark.parametrize("s", range(2, 13))
+    def test_hadamard_table_matches_parity_construction(self, s):
+        # reference: bit (v, a) is the parity of v & a, folded by shifts
+        # (uint16 holds every s <= 16)
+        a = np.arange(1 << s, dtype=np.uint16)
+        x = a[:, None] & a[None, :]
+        for shift in (8, 4, 2, 1):
+            x = x ^ (x >> shift)
+        assert np.array_equal(_hadamard_table(s), (x & 1).astype(np.uint8))
 
     def test_distance_bound_at_least_one_third(self):
         for n in (2, 8, 16, 64, 256):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -9,12 +10,23 @@ from smplab import adversaries as adv
 from smplab.acceptance import run_criterion, verify_suite
 from smplab.codes import CodeSpec
 from smplab.harness import (
+    PROTOCOL_IDS,
     ConfigError,
     ExperimentConfig,
+    build_plan,
     hoeffding_half_width,
     persist,
     run,
     sweep,
+)
+
+
+MALFORMED = (
+    ("uqst", {"variant": "UqstMixed", "components": 5}),
+    ("ne-rrr", "NeHonest"),
+    ("ne-rrr", {"variant": "QrqCrossFingerprint"}),
+    ("ne-rrr", {"variant": "NeTamper", "u": 1, "v": 0, "bogus": 1}),
+    ("disj-rrr", {"variant": "DisjWrongPoly", "seed": "four"}),
 )
 
 
@@ -52,6 +64,72 @@ class TestConfig:
     def test_eq_rr_rejects_adversary(self):
         with pytest.raises(ConfigError):
             run(ExperimentConfig(protocol="eq-rr", trials=1, adversary={"variant": "NeHonest"}))
+
+    @pytest.mark.parametrize("protocol,adversary", MALFORMED)
+    def test_malformed_adversary_is_config_error(self, count_calls, protocol, adversary):
+        import smplab.harness
+
+        trials = count_calls(smplab.harness._run_trials)
+        cfg = ExperimentConfig(protocol=protocol, n=16, trials=10, adversary=adversary)
+        with pytest.raises(ConfigError, match=f"{protocol} accepts") as err:
+            run(cfg)
+        assert "ProtocolResolved" not in str(err.value)
+        assert not trials
+
+
+# Which protocols can run each variant, written out independently of the
+# registry, and one spec per variant.
+DECLARED = {
+    "NeHonest": ("ne-rrr",),
+    "NeTamper": ("ne-rrr",),
+    "NeArbitrary": ("ne-rrr",),
+    "DisjHonest": ("disj-rrr",),
+    "DisjWrongPoly": ("disj-rrr",),
+    "UqstHonest": ("uqst", "qrq-eq", "rrq-eq"),
+    "UqstFarProduct": ("uqst", "qrq-eq", "rrq-eq"),
+    "UqstMixed": ("uqst", "qrq-eq", "rrq-eq"),
+    "UqstWrongCount": ("uqst", "qrq-eq", "rrq-eq"),
+    "QrqCrossFingerprint": ("qrq-eq",),
+    "RrqOrthogonalJunk": ("rrq-eq",),
+}
+SPECS = {
+    "NeTamper": {"u": 1, "v": 0},
+    "NeArbitrary": {"k_row": 1, "r_row": "01", "s_row": "10"},
+    "DisjWrongPoly": {"seed": 3},
+    "UqstFarProduct": {"gamma": 0.5},
+    "UqstMixed": {"components": [{"weight": 1.0, "gamma": 0.5}]},
+    "UqstWrongCount": {"count": 3},
+}
+PROTOCOL_FIELDS = {
+    "eq-rr": {"n": 16},
+    "one-of-two": {"n": 16},
+    "ne-rrr": {"n": 16},
+    "eq-qq": {"n": 16},
+    "uqst": {"n": 16, "options": {"a": 4}},
+    "qrq-eq": {"n": 4},
+    "rrq-eq": {"n": 4},
+    "disj-rrr": {"n": 16, "options": {"alpha": 0.5}},
+}
+
+
+class TestRegistry:
+    def test_registry_declares_the_paper_pairs(self):
+        assert list(adv.VARIANTS) == list(DECLARED)
+        assert {p for v in adv.VARIANTS.values() for p in v.protocols} <= set(PROTOCOL_IDS)
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+    @pytest.mark.parametrize("variant", list(DECLARED))
+    def test_plan_builds_exactly_for_declared_pairs(self, variant, protocol):
+        cfg = ExperimentConfig(protocol=protocol, trials=1, **PROTOCOL_FIELDS[protocol],
+                               adversary={"variant": variant, **SPECS.get(variant, {})})
+        if protocol in DECLARED[variant]:
+            build_plan(cfg)
+            return
+        accepted = [v for v, protocols in DECLARED.items() if protocol in protocols]
+        message = (f"{protocol} accepts {', '.join(accepted)}" if accepted
+                   else f"{protocol} takes no adversary")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_plan(cfg)
 
 
 class TestHoeffding:
@@ -166,7 +244,8 @@ class TestOncePerRun:
                                  workers=1))
             counts.append((len(poly_calls), len(s_calls), len(lde_calls)))
         assert counts[0] == counts[1]
-        assert counts[0][0] == counts[0][1] == 1
+        # one polynomial per run, interpolated from the encoding's s-values
+        assert counts[0][:2] == (1, 0)
 
     def test_serial_run_builds_its_plan_once(self, count_calls):
         import smplab.harness
@@ -196,6 +275,20 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(BASE, [])
+
+    @pytest.mark.parametrize("bad", [
+        {"adversary": {"variant": "NeTamper", "u": 1}},
+        {"adversary": {"variant": "DisjHonest"}},
+        {"frobnicate": 1},
+    ])
+    def test_bad_last_point_fails_before_any_run(self, count_calls, bad):
+        import smplab.harness
+
+        runs = count_calls(smplab.harness.run)
+        good = {"adversary": {"variant": "NeTamper", "u": 16, "v": 0}}
+        with pytest.raises(ConfigError):
+            sweep(dataclasses.replace(BASE, trials=5), [good, good, bad])
+        assert not runs
 
 
 class TestPersist:
