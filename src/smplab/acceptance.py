@@ -38,6 +38,7 @@ from .field import agreement_count, poly_eval
 from .harness import ExperimentConfig, build_plan, hoeffding_half_width
 from .qsim import (
     dephase_across_blocks,
+    fingerprint,
     haar_subspace,
     product_measurement_stats,
     project,
@@ -46,7 +47,7 @@ from .qsim import (
     swap_test_prob,
     trace_distance_pure,
 )
-from .quantum import UqstParams, eq_qq_round_prob, uqst_run
+from .quantum import RrqParams, UqstParams, eq_qq_round_prob, qrq_eq_run, rrq_eq_run, uqst_run
 
 BASE_SEED = 20240901
 
@@ -404,6 +405,7 @@ def crit_12_code_distance(seed: int, spec_factory=CodeSpec.create) -> tuple[bool
 
 
 _LENGTH_CHECK_NS = (16, 64, 256)
+_TRANSFER = ("uqst", "qrq-eq", "rrq-eq")
 
 
 def _length_configs(n: int) -> list[ExperimentConfig]:
@@ -429,6 +431,17 @@ def _length_configs(n: int) -> list[ExperimentConfig]:
     ]
 
 
+def _transfer_params(config: ExperimentConfig):
+    """The transfer-family parameters of the configs above."""
+    if config.protocol == "uqst":
+        return UqstParams(n=config.n, a=config.options["a"], eps=0.5, delta=0.25,
+                          scale=1.0 / 3200.0)
+    fdim = 2 * CodeSpec.create(config.n).block_len
+    if config.protocol == "qrq-eq":
+        return UqstParams(n=fdim, a=16, eps=0.5, delta=0.25, scale=config.scale)
+    return RrqParams(n=fdim, a=16, m_copies=8)
+
+
 def _expected_lengths(config: ExperimentConfig) -> dict[str, int]:
     """Closed-form message lengths per protocol (the declared shape)."""
     n = config.n
@@ -451,26 +464,16 @@ def _expected_lengths(config: ExperimentConfig) -> dict[str, int]:
             }
         qubits = max(1, (2 * spec.block_len - 1).bit_length())
         return {"alice": qubits, "bob": qubits}
-    if config.protocol == "uqst":
-        params = UqstParams(
-            n=n, a=config.options["a"], eps=0.5, delta=0.25, scale=1.0 / 3200.0
-        )
-        return params.expected_lengths()
-    if config.protocol in ("qrq-eq", "rrq-eq"):
-        spec = CodeSpec.create(n)
-        fdim = 2 * spec.block_len
-        qubits = max(1, (fdim - 1).bit_length())
-        if config.protocol == "qrq-eq":
-            params = UqstParams(n=fdim, a=16, eps=0.5, delta=0.25, scale=config.scale)
-            return {
-                "alice": qubits,
-                "bob": 2 * params.a * params.bits,
-                "merlin": params.m_copies * qubits,
-            }
-        from .quantum import RrqParams
-
-        params = RrqParams(n=fdim, a=16, m_copies=8)
-        return params.expected_lengths()
+    if config.protocol in _TRANSFER:
+        params = _transfer_params(config)
+        if config.protocol != "qrq-eq":
+            return params.expected_lengths()
+        qubits = max(1, (params.n - 1).bit_length())
+        return {
+            "alice": qubits,
+            "bob": 2 * params.a * params.bits,
+            "merlin": params.m_copies * qubits,
+        }
     if config.protocol == "disj-rrr":
         params = DisjParams.create(
             n, alpha=config.options["alpha"], sample_scale=config.scale
@@ -479,18 +482,39 @@ def _expected_lengths(config: ExperimentConfig) -> dict[str, int]:
     raise ValueError(config.protocol)
 
 
+def _transfer_run_lengths(config: ExperimentConfig) -> dict[str, int]:
+    """Message lengths measured from one honest run of a transfer protocol's
+    runner; its plan states the record's lengths in closed form instead."""
+    params, rng, honest = _transfer_params(config), RandomSource(config.seed, 7), adv.UqstHonest()
+    if config.protocol == "uqst":
+        phi = random_state(config.n, RandomSource(config.seed).generator())
+        diag = uqst_run(phi, params, honest, rng).diagnostics
+        return {"alice": diag["alice_bits"], "merlin": diag["merlin_qubits"]}
+    spec = CodeSpec.create(config.n)
+    x, y = sample_instance(InstanceKind.EQ_PAIR, config.n, RandomSource(config.seed))
+    f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
+    runner = qrq_eq_run if config.protocol == "qrq-eq" else rrq_eq_run
+    _, transcript = runner(x, y, f_x, f_y, params, honest, rng)
+    return transcript.lengths()
+
+
 def crit_13_message_lengths(seed: int) -> tuple[bool, str]:
     """Transcript lengths equal the declared (a, b, m) shapes for
-    n in {16, 64, 256} across every protocol."""
+    n in {16, 64, 256} across every protocol, and so do the lengths each
+    run records."""
     checked = 0
     for n in _LENGTH_CHECK_NS:
         for config in _length_configs(n):
             expected = _expected_lengths(config)
-            actual = build_plan(config).lengths()
-            if actual != expected:
-                return False, (
-                    f"{config.protocol} at n={n}: lengths {actual} != declared {expected}"
-                )
+            found = [("record", build_plan(config).lengths())]
+            if config.protocol in _TRANSFER:
+                found.append(("transcript", _transfer_run_lengths(config)))
+            for source, actual in found:
+                if actual != expected:
+                    return False, (
+                        f"{config.protocol} at n={n}: {source} lengths {actual} "
+                        f"!= declared {expected}"
+                    )
             checked += 1
     return True, f"{checked} protocol/size combinations match their declared shapes"
 

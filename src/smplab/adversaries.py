@@ -134,13 +134,17 @@ class DisjWrongPoly:
 # State-transfer prover
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0 <= gamma <= 1:
+        raise ValueError(f"gamma {gamma} must lie in [0, 1]")
+
+
 def uqst_far_product(
     phi: StateVec, gamma: float, m_copies: int, rng: RandomSource
 ) -> ProductState:
     """m copies of one fixed state at trace distance exactly gamma from phi,
     built by rotating phi toward a random orthogonal direction."""
-    if not 0 <= gamma <= 1:
-        raise ValueError("gamma must lie in [0, 1]")
+    _check_gamma(gamma)
     if gamma == 0:
         far = phi
     else:
@@ -166,6 +170,9 @@ class UqstFarProduct:
     gamma: float
     seed: int = 0
 
+    def __post_init__(self):
+        _check_gamma(self.gamma)
+
     def blocks(self, phi: StateVec, params, rng) -> ProductState:
         return uqst_far_product(phi, self.gamma, params.m_copies, RandomSource(self.seed, 0xFA5))
 
@@ -176,6 +183,15 @@ class UqstMixed:
 
     components: tuple[tuple[float, float], ...]
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.components:
+            raise ValueError("need at least one component")
+        weights = [w for w, _ in self.components]
+        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
+            raise ValueError(f"weights {weights} must be nonnegative and sum to 1")
+        for _, gamma in self.components:
+            _check_gamma(gamma)
 
     def blocks(self, phi: StateVec, params, rng) -> MixedEnsemble:
         states = tuple(

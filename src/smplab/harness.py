@@ -39,7 +39,16 @@ from .classical import (
 from .codes import CodeSpec, grid_of
 from .core import ConfigError, InstanceKind, OneOutOfTwoVerdict, RandomSource, Verdict, sample_instance
 from .qsim import fingerprint, random_state, trace_distance_pure
-from .quantum import RrqParams, UqstParams, eq_qq_round_prob, eq_qq_run, qrq_eq_run, rrq_eq_run, uqst_run
+from .quantum import (
+    RrqParams,
+    UqstParams,
+    eq_qq_round_prob,
+    eq_qq_run,
+    qrq_eq_lengths,
+    qrq_eq_run,
+    rrq_eq_run,
+    uqst_run,
+)
 
 PROTOCOL_IDS = (
     "eq-rr",
@@ -80,6 +89,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0 < self.confidence_beta < 1:
             raise ConfigError("confidence_beta must lie in (0, 1)")
+        if self.instance is not None:
+            try:
+                InstanceKind(self.instance)
+            except ValueError as exc:
+                raise ConfigError(f"unknown instance kind {self.instance!r}") from exc
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -174,12 +188,7 @@ class RunPlan:
 
 
 def _instance_kind(config: ExperimentConfig, default: InstanceKind) -> InstanceKind:
-    if config.instance is None:
-        return default
-    try:
-        return InstanceKind(config.instance)
-    except ValueError as exc:
-        raise ConfigError(f"unknown instance kind {config.instance!r}") from exc
+    return default if config.instance is None else InstanceKind(config.instance)
 
 
 def _echo(*parts) -> str:
@@ -304,14 +313,9 @@ def _plan_uqst(config: ExperimentConfig, strategy) -> RunPlan:
             extras["accept_and_far"] = 1.0 if far else 0.0
         return outcome.accepted, extras
 
-    def lengths():
-        probe = uqst_run(phi, params, adv.UqstHonest(), RandomSource(config.seed, 7))
-        return {
-            "alice": probe.diagnostics["alice_bits"],
-            "merlin": probe.diagnostics["merlin_qubits"],
-        }
-
-    return RunPlan(trial, lambda: None, lengths, "RQ", _echo("haar-state", config.n))
+    return RunPlan(
+        trial, lambda: None, params.expected_lengths, "RQ", _echo("haar-state", config.n)
+    )
 
 
 def _plan_qrq(config: ExperimentConfig, strategy) -> RunPlan:
@@ -332,13 +336,7 @@ def _plan_qrq(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = qrq_eq_run(x, y, f_x, f_y, params, strategy, rng, config.repetitions)
         return verdict is Verdict.ACCEPT, {}
 
-    def lengths():
-        _, tr = qrq_eq_run(
-            x, y, f_x, f_y, params, strategy, RandomSource(config.seed, 7), config.repetitions
-        )
-        return tr.lengths()
-
-    return RunPlan(trial, lambda: None, lengths, "QRQ", _echo(x, y))
+    return RunPlan(trial, lambda: None, lambda: qrq_eq_lengths(params), "QRQ", _echo(x, y))
 
 
 def _plan_rrq(config: ExperimentConfig, strategy) -> RunPlan:
@@ -358,11 +356,7 @@ def _plan_rrq(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = rrq_eq_run(x, y, f_x, f_y, params, strategy, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    def lengths():
-        _, tr = rrq_eq_run(x, y, f_x, f_y, params, strategy, RandomSource(config.seed, 7))
-        return tr.lengths()
-
-    return RunPlan(trial, lambda: None, lengths, "RRQ", _echo(x, y))
+    return RunPlan(trial, lambda: None, params.expected_lengths, "RRQ", _echo(x, y))
 
 
 def _plan_disj(config: ExperimentConfig, strategy) -> RunPlan:
@@ -502,10 +496,14 @@ def run(config: ExperimentConfig) -> TrialReport:
 def sweep(template: ExperimentConfig, points: list[dict]) -> list[TrialReport]:
     """One report per grid point; each point overrides template fields.  Every
     point's config and adversary are checked before the first point runs."""
-    if not points:
-        raise ConfigError("sweep needs at least one grid point")
+    if not isinstance(points, list) or not points:
+        raise ConfigError("sweep needs a nonempty list of grid points")
     configs = []
     for point in points:
+        if not isinstance(point, dict):
+            raise ConfigError(f"sweep point {point!r} is not a JSON object")
+        if not isinstance(point.get("options", {}), dict):
+            raise ConfigError(f"sweep point options {point['options']!r} are not a JSON object")
         data = template.to_json()
         for key, value in point.items():
             if key == "options":

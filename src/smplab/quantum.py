@@ -280,6 +280,13 @@ def uqst_run(
 # Equality with quantum Alice, classical Bob, quantum prover
 
 
+def qrq_eq_lengths(params: UqstParams) -> dict[str, int]:
+    """Closed-form qrq-eq message lengths: Alice's fingerprint qubits, then
+    Bob's transfer description and the prover's blocks."""
+    transfer = params.expected_lengths()
+    return {"alice": _qubits(params.n), "bob": transfer["alice"], "merlin": transfer["merlin"]}
+
+
 def qrq_eq_run(
     x: BitString,
     y: BitString,

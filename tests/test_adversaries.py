@@ -232,6 +232,19 @@ class TestParseStrategy:
         with pytest.raises(ConfigError, match="ne-rrr accepts NeHonest, NeTamper, NeArbitrary"):
             adv.parse_strategy(spec, "ne-rrr")
 
+    @pytest.mark.parametrize("spec", [
+        {"variant": "UqstFarProduct", "gamma": 1.5},
+        {"variant": "UqstFarProduct", "gamma": -0.1},
+        {"variant": "UqstMixed", "components": []},
+        {"variant": "UqstMixed", "components": [{"weight": -0.5, "gamma": 0.1},
+                                                {"weight": 1.5, "gamma": 0.1}]},
+        {"variant": "UqstMixed", "components": [{"weight": 0.5, "gamma": 0.1}]},
+        {"variant": "UqstMixed", "components": [{"weight": 1.0, "gamma": 2.0}]},
+    ])
+    def test_transfer_ranges_checked_when_parsed(self, spec):
+        with pytest.raises(ConfigError, match="uqst accepts"):
+            adv.parse_strategy(spec, "uqst")
+
     def test_mixture_components_must_be_weight_gamma_objects(self):
         for components in (5, [0.5], [{"weight": 1.0}]):
             with pytest.raises(ConfigError, match="uqst accepts"):

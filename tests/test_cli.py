@@ -57,6 +57,19 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert f"{protocol} accepts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("adversary", [
+        {"variant": "UqstFarProduct", "gamma": 1.5},
+        {"variant": "UqstMixed", "components": []},
+        {"variant": "UqstMixed", "components": [{"weight": 0.7, "gamma": 0.0},
+                                                {"weight": 0.7, "gamma": 0.9}]},
+        {"variant": "UqstMixed", "components": [{"weight": 1.0, "gamma": -1.0}]},
+    ])
+    def test_out_of_range_transfer_strategy_exits_with_config_code(self, capsys, adversary):
+        code = main(["run", "--protocol", "uqst", "--n", "16", "--trials", "3",
+                     "--options", '{"a": 4}', "--adversary", json.dumps(adversary)])
+        assert code == EXIT_CONFIG
+        assert "uqst accepts" in capsys.readouterr().err
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"protocol": "eq-rr", "n": 16, "trials": 20, "seed": 1}))
@@ -93,6 +106,13 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg), "--out", out])
         assert code == EXIT_OK
         assert len(open(out + ".jsonl").read().splitlines()) == 2
+
+    @pytest.mark.parametrize("points", [5, [5], [{"options": 3}], [{}, {"instance": "bogus"}]])
+    def test_malformed_points_exit_with_config_code(self, tmp_path, points):
+        cfg = tmp_path / "sweep.json"
+        template = {"protocol": "ne-rrr", "n": 16, "trials": 5, "seed": 2}
+        cfg.write_text(json.dumps({"template": template, "points": points}))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
     def test_sweep_requires_config(self):
         assert main(["sweep"]) == EXIT_CONFIG

@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(protocol="eq-rr", trials=0)
 
+    def test_unknown_instance_kind(self):
+        with pytest.raises(ConfigError, match="unknown instance kind"):
+            ExperimentConfig(protocol="ne-rrr", instance="bogus")
+        with pytest.raises(ConfigError, match="unknown instance kind"):
+            ExperimentConfig(protocol="ne-rrr", instance=["eq_pair"])
+
     def test_json_round_trip(self):
         cfg = ExperimentConfig(protocol="ne-rrr", n=64, adversary={"variant": "NeHonest"})
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
@@ -280,6 +286,9 @@ class TestSweep:
         {"adversary": {"variant": "NeTamper", "u": 1}},
         {"adversary": {"variant": "DisjHonest"}},
         {"frobnicate": 1},
+        5,
+        {"options": 3},
+        {"instance": "bogus"},
     ])
     def test_bad_last_point_fails_before_any_run(self, count_calls, bad):
         import smplab.harness

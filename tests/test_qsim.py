@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smplab.codes import CodeSpec, encode
 from smplab.core import BitString, InstanceKind, RandomSource, hamming_distance, sample_instance
@@ -15,12 +17,10 @@ from smplab.qsim import (
     bits_for_target,
     dephase_across_blocks,
     dequantize,
-    embed,
     ensemble_density,
     fidelity,
     fingerprint,
     haar_subspace,
-    measure_subspace,
     overlap,
     product_measurement_stats,
     project,
@@ -34,6 +34,26 @@ from smplab.qsim import (
 
 
 GEN = RandomSource(2024).generator()
+
+
+def embed(coords: StateVec, v: Subspace) -> StateVec:
+    """Lift subspace-basis coordinates back to the ambient space."""
+    if coords.dim != v.dim:
+        raise ValueError("dimension mismatch")
+    return StateVec(v.basis @ coords.amplitudes)
+
+
+def measure_subspace(phi: StateVec, v: Subspace, rng) -> tuple[bool, StateVec]:
+    """Measure {V, I-V}; True = landed in V. Returns the post-state."""
+    g = rng.generator() if isinstance(rng, RandomSource) else rng
+    proj = project(phi, v)
+    accepted = bool(g.random() < proj.survival_prob)
+    if accepted:
+        post = embed(proj.coords, v)
+    else:
+        inside = v.basis @ (v.basis.conj().T @ phi.amplitudes)
+        post = StateVec.normalized(phi.amplitudes - inside)
+    return accepted, post
 
 
 class TestStateVec:
@@ -166,6 +186,91 @@ class TestSubspaces:
         v = Subspace(np.eye(4, 2, dtype=np.complex128))
         out = project(StateVec.basis(4, 3), v)
         assert out.flagged and out.survival_prob < 1e-15 and out.coords is None
+
+
+def qr_basis(n: int, a: int, seed: int) -> np.ndarray:
+    """Reference basis: the phase-corrected QR factor of the Gaussian frame
+    that haar_subspace(n, a, RandomSource(seed)) draws."""
+    g = RandomSource(seed).generator()
+    z = (g.standard_normal((n, a)) + 1j * g.standard_normal((n, a))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[None, :]
+
+
+def qr_project(phi: StateVec, basis: np.ndarray) -> tuple[float, np.ndarray | None, bool]:
+    """Survival probability, coordinates and flag of the projection through Q."""
+    c = basis.conj().T @ phi.amplitudes
+    p = float(np.linalg.norm(c) ** 2)
+    if p < 1e-15:
+        return p, None, True
+    return min(p, 1.0), c / np.sqrt(p), False
+
+
+class TestFrameSubspace:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        a_choice=st.one_of(st.just(1), st.just(0), st.integers(1, 64)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_project_matches_qr_basis(self, n, a_choice, seed):
+        a = n if a_choice == 0 else min(a_choice, n)  # 0 stands for a = n
+        v = haar_subspace(n, a, RandomSource(seed))
+        q = qr_basis(n, a, seed)
+        g = RandomSource(seed, 1).generator()
+        phis = [random_state(n, g), StateVec.normalized(q @ random_state(a, g).amplitudes)]
+        if a < n:
+            raw = random_state(n, g).amplitudes
+            phis.append(StateVec.normalized(raw - q @ (q.conj().T @ raw)))
+        for phi in phis:
+            got = project(phi, v)
+            p, coords, flagged = qr_project(phi, q)
+            assert got.flagged == flagged
+            assert abs(got.survival_prob - p) <= 1e-12
+            if not flagged:
+                assert np.abs(got.coords.amplitudes - coords).max() <= 1e-12
+
+    @pytest.mark.parametrize("n,a,seed", [(16, 4, 1), (384, 96, 2), (384, 16, 3), (6, 6, 4),
+                                          (1, 1, 5), (64, 63, 6)])
+    def test_basis_bit_equal_to_qr(self, n, a, seed):
+        assert np.array_equal(haar_subspace(n, a, RandomSource(seed)).basis, qr_basis(n, a, seed))
+
+    def test_tall_gaussian_frame_keeps_cholesky_factor(self):
+        v = haar_subspace(384, 96, RandomSource(7))
+        assert v.chol is not None and "basis" not in vars(v)
+
+    def test_ill_conditioned_frame_keeps_qr_basis(self):
+        frame = np.array([[1.0, 1.0], [0.0, 1e-3]], dtype=np.complex128)
+        v = Subspace.spanned_by(frame)
+        assert v.chol is None
+        assert np.array_equal(v.basis, v.frame)
+
+    @pytest.mark.parametrize("frame", [
+        np.ones((4, 2), dtype=np.complex128),
+        np.array([[1, 1], [0, 1e-9], [0, 0]], dtype=np.complex128),
+        np.array([[1, 1], [0, 1e-7]], dtype=np.complex128),
+        np.zeros((3, 1), dtype=np.complex128),
+    ])
+    def test_rank_deficient_frame_rejected(self, frame):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            Subspace.spanned_by(frame)
+
+    def test_transfer_trials_run_no_qr(self, monkeypatch):
+        from smplab.harness import ExperimentConfig, run
+
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        for protocol, options in (("uqst", {"a": 4}), ("qrq-eq", {}), ("rrq-eq", {"m_copies": 16})):
+            run(ExperimentConfig(protocol=protocol, n=4 if protocol != "uqst" else 16,
+                                 trials=5, seed=3, options=options))
+        assert not calls
 
 
 class TestMeasureSubspace:
