@@ -12,6 +12,7 @@ expected to fail there, with the violating messages listed in its details.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -29,8 +30,11 @@ from .classical import (
     OneOutOfTwoParams,
     disj_rrr_run,
     disj_rrr_soundness_exact,
+    eq_rr_run,
     ne_rrr_exact,
+    ne_rrr_run,
     one_out_of_two_exact,
+    one_out_of_two_run,
 )
 from .codes import CodeSpec, encode_all, grid_of
 from .core import BitString, InstanceKind, RandomSource, Verdict, sample_instance
@@ -47,7 +51,8 @@ from .qsim import (
     swap_test_prob,
     trace_distance_pure,
 )
-from .quantum import RrqParams, UqstParams, eq_qq_round_prob, qrq_eq_run, rrq_eq_run, uqst_run
+from .quantum import (RrqParams, UqstParams, eq_qq_round_prob, eq_qq_run, qrq_eq_run,
+                      rrq_eq_run, uqst_run)
 
 BASE_SEED = 20240901
 
@@ -410,24 +415,13 @@ _TRANSFER = ("uqst", "qrq-eq", "rrq-eq")
 
 def _length_configs(n: int) -> list[ExperimentConfig]:
     alpha = 2.0 / 3.0 if n == 64 else 0.5
+    config = functools.partial(ExperimentConfig, n=n, trials=1, seed=1)
     return [
-        ExperimentConfig(protocol="eq-rr", n=n, trials=1, seed=1),
-        ExperimentConfig(protocol="one-of-two", n=n, trials=1, seed=1),
-        ExperimentConfig(protocol="ne-rrr", n=n, trials=1, seed=1),
-        ExperimentConfig(protocol="eq-qq", n=n, trials=1, seed=1),
-        ExperimentConfig(
-            protocol="uqst", n=n, trials=1, seed=1, options={"a": max(1, n // 4)}
-        ),
-        ExperimentConfig(
-            protocol="qrq-eq", n=n, trials=1, seed=1, scale=1e-7, options={"a": 16}
-        ),
-        ExperimentConfig(
-            protocol="rrq-eq", n=n, trials=1, seed=1, options={"a": 16, "m_copies": 8}
-        ),
-        ExperimentConfig(
-            protocol="disj-rrr", n=n, trials=1, seed=1, scale=DISJ_DESK_SCALE,
-            options={"alpha": alpha},
-        ),
+        *(config(protocol=p) for p in ("eq-rr", "one-of-two", "ne-rrr", "eq-qq")),
+        config(protocol="uqst", options={"a": max(1, n // 4)}),
+        config(protocol="qrq-eq", scale=1e-7, options={"a": 16}),
+        config(protocol="rrq-eq", options={"a": 16, "m_copies": 8}),
+        config(protocol="disj-rrr", scale=DISJ_DESK_SCALE, options={"alpha": alpha}),
     ]
 
 
@@ -482,19 +476,38 @@ def _expected_lengths(config: ExperimentConfig) -> dict[str, int]:
     raise ValueError(config.protocol)
 
 
-def _transfer_run_lengths(config: ExperimentConfig) -> dict[str, int]:
-    """Message lengths measured from one honest run of a transfer protocol's
-    runner; its plan states the record's lengths in closed form instead."""
-    params, rng, honest = _transfer_params(config), RandomSource(config.seed, 7), adv.UqstHonest()
+def _run_lengths(config: ExperimentConfig) -> dict[str, int]:
+    """Message lengths measured from one run of the protocol's runner with an
+    honest prover; its plan states the record's lengths in closed form instead."""
+    n, rng, honest = config.n, RandomSource(config.seed, 7), adv.UqstHonest()
     if config.protocol == "uqst":
-        phi = random_state(config.n, RandomSource(config.seed).generator())
-        diag = uqst_run(phi, params, honest, rng).diagnostics
+        phi = random_state(n, RandomSource(config.seed).generator())
+        diag = uqst_run(phi, _transfer_params(config), honest, rng).diagnostics
         return {"alice": diag["alice_bits"], "merlin": diag["merlin_qubits"]}
-    spec = CodeSpec.create(config.n)
-    x, y = sample_instance(InstanceKind.EQ_PAIR, config.n, RandomSource(config.seed))
-    f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
-    runner = qrq_eq_run if config.protocol == "qrq-eq" else rrq_eq_run
-    _, transcript = runner(x, y, f_x, f_y, params, honest, rng)
+    if config.protocol == "one-of-two":
+        params = OneOutOfTwoParams.create(n)
+        triple = sample_instance(InstanceKind.ONE_OUT_OF_TWO_TRIPLE, n, RandomSource(config.seed))
+        inst = OneOutOfTwoInstance.encode(*triple, params)
+        return one_out_of_two_run(inst, params, rng)[1].lengths()
+    x, y = sample_instance(InstanceKind.EQ_PAIR, n, RandomSource(config.seed))
+    if config.protocol == "disj-rrr":
+        params = DisjParams.create(n, alpha=config.options["alpha"], sample_scale=config.scale)
+        inst = DisjInstance.encode(x, y, params)
+        claim = DisjClaim.of(adv.DisjHonest().polynomial(inst, params, None), params)
+        return disj_rrr_run(inst, claim, params, rng)[1].lengths()
+    spec = CodeSpec.create(n)
+    if config.protocol == "eq-rr":
+        _, transcript = eq_rr_run(grid_of(spec, x), grid_of(spec, y), rng)
+    elif config.protocol == "ne-rrr":
+        params = NeRrrParams.create(n)
+        msg = adv.NeHonest().message(x, y, params, rng)
+        _, transcript = ne_rrr_run(grid_of(spec, x), grid_of(spec, y), msg, params, rng)
+    elif config.protocol == "eq-qq":
+        _, transcript = eq_qq_run(x, y, eq_qq_round_prob(x, y, spec), spec, 1, rng)
+    else:
+        f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
+        runner = qrq_eq_run if config.protocol == "qrq-eq" else rrq_eq_run
+        _, transcript = runner(x, y, f_x, f_y, _transfer_params(config), honest, rng)
     return transcript.lengths()
 
 
@@ -506,9 +519,7 @@ def crit_13_message_lengths(seed: int) -> tuple[bool, str]:
     for n in _LENGTH_CHECK_NS:
         for config in _length_configs(n):
             expected = _expected_lengths(config)
-            found = [("record", build_plan(config).lengths())]
-            if config.protocol in _TRANSFER:
-                found.append(("transcript", _transfer_run_lengths(config)))
+            found = (("record", build_plan(config).lengths()), ("transcript", _run_lengths(config)))
             for source, actual in found:
                 if actual != expected:
                     return False, (

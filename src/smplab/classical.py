@@ -293,6 +293,15 @@ def eq_rr_run(
     return (Verdict.ACCEPT if same else Verdict.REJECT), transcript
 
 
+def eq_rr_lengths(spec: CodeSpec) -> dict[str, int]:
+    """Closed-form eq-rr message lengths: an index and a row of C(x), then an
+    index and a column of C(y)."""
+    return {
+        "alice": _index_bits(spec.rows) + spec.cols,
+        "bob": _index_bits(spec.cols) + spec.rows,
+    }
+
+
 def eq_rr_exact(gx: GridCodeword, gy: GridCodeword) -> Fraction:
     """Exact acceptance: the fraction of grid cells where the encodings agree."""
     cells = gx.cells.size

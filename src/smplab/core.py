@@ -163,24 +163,6 @@ class Message:
         if self.length < 0:
             raise ValueError("length must be nonnegative")
 
-    def to_json(self) -> dict:
-        payload = self.payload
-        if isinstance(payload, BitString):
-            payload = payload.to_text()
-        return {"kind": self.kind, "length": self.length, "payload": _jsonify(payload)}
-
-
-def _jsonify(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(o) for o in obj]
-    if isinstance(obj, BitString):
-        return obj.to_text()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
 
 _KIND_FOR_LETTER = {"R": "classical", "Q": "quantum"}
 
@@ -217,16 +199,6 @@ class Transcript:
         out = {"alice": self.alice.length, "bob": self.bob.length}
         if self.merlin is not None:
             out["merlin"] = self.merlin.length
-        return out
-
-    def to_json(self) -> dict:
-        out = {
-            "protocol_type": self.protocol_type,
-            "alice": self.alice.to_json(),
-            "bob": self.bob.to_json(),
-        }
-        if self.merlin is not None:
-            out["merlin"] = self.merlin.to_json()
         return out
 
 

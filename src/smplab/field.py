@@ -54,20 +54,6 @@ class PrimeField:
         if not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
 
 def find_prime(n: int) -> PrimeField:
     """Smallest prime q with n < q <= 2n (exists by Bertrand's postulate)."""

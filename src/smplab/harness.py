@@ -30,6 +30,7 @@ from .classical import (
     disj_rrr_run,
     disj_rrr_soundness_exact,
     eq_rr_exact,
+    eq_rr_lengths,
     eq_rr_run,
     ne_rrr_exact,
     ne_rrr_run,
@@ -40,8 +41,10 @@ from .codes import CodeSpec, grid_of
 from .core import ConfigError, InstanceKind, OneOutOfTwoVerdict, RandomSource, Verdict, sample_instance
 from .qsim import fingerprint, random_state, trace_distance_pure
 from .quantum import (
+    REFEREE_MODES,
     RrqParams,
     UqstParams,
+    eq_qq_lengths,
     eq_qq_round_prob,
     eq_qq_run,
     qrq_eq_lengths,
@@ -50,23 +53,19 @@ from .quantum import (
     uqst_run,
 )
 
-PROTOCOL_IDS = (
-    "eq-rr",
-    "one-of-two",
-    "ne-rrr",
-    "eq-qq",
-    "uqst",
-    "qrq-eq",
-    "rrq-eq",
-    "disj-rrr",
-)
-
 _INSTANCE_STREAM = 0xBEEF
 _TRIAL_STREAM = 1
 
 
+# The config fields that only some protocols read; every protocol reads the rest.
+OPTIONAL_FIELDS = ("instance", "repetitions", "scale")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's config.  An option, or a non-default optional field, that the
+    protocol's `PROTOCOLS` entry does not declare is a ConfigError."""
+
     protocol: str
     n: int = 16
     trials: int = 1000
@@ -83,8 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOL_IDS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.trials < 1 or self.repetitions < 1:
+            raise ConfigError("trials and repetitions must be >= 1")
         if self.mode not in ("monte_carlo", "exact", "both"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0 < self.confidence_beta < 1:
@@ -94,6 +93,18 @@ class ExperimentConfig:
                 InstanceKind(self.instance)
             except ValueError as exc:
                 raise ConfigError(f"unknown instance kind {self.instance!r}") from exc
+        if not isinstance(self.options, dict):
+            raise ConfigError(f"options {self.options!r} are not a JSON object")
+        entry = PROTOCOLS[self.protocol]
+        unread = [f.name for f in dataclasses.fields(self) if f.name in OPTIONAL_FIELDS
+                  and f.name not in entry.fields and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{self.protocol} does not read {', '.join(unread)}; of "
+                              f"{', '.join(OPTIONAL_FIELDS)} it reads {', '.join(entry.fields)}")
+        unknown = sorted(set(self.options) - set(entry.options))
+        if unknown:
+            raise ConfigError(f"{self.protocol} reads no option {', '.join(unknown)}; "
+                              f"its options are {', '.join(entry.options) or 'none'}")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -182,8 +193,7 @@ CSV_COLUMNS = (
 class RunPlan:
     trial: Callable[[RandomSource], tuple[bool, dict[str, float]]]
     exact: Callable[[], Fraction | None]
-    lengths: Callable[[], dict[str, int]]
-    protocol_type: str
+    lengths: Callable[[], dict[str, int]]  # the protocol's closed form
     instance_echo: str
 
 
@@ -205,11 +215,7 @@ def _plan_eq_rr(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = eq_rr_run(gx, gy, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    def lengths():
-        _, tr = eq_rr_run(gx, gy, RandomSource(config.seed, 7))
-        return tr.lengths()
-
-    return RunPlan(trial, lambda: eq_rr_exact(gx, gy), lengths, "RR", _echo(x, y))
+    return RunPlan(trial, lambda: eq_rr_exact(gx, gy), lambda: eq_rr_lengths(spec), _echo(x, y))
 
 
 def _plan_one_of_two(config: ExperimentConfig, strategy) -> RunPlan:
@@ -225,12 +231,9 @@ def _plan_one_of_two(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = one_out_of_two_run(inst, params, rng)
         return verdict is truth, {}
 
-    def lengths():
-        _, tr = one_out_of_two_run(inst, params, RandomSource(config.seed, 7))
-        return tr.lengths()
-
     return RunPlan(
-        trial, lambda: one_out_of_two_exact(inst, params), lengths, "RR", _echo(x1, x2, y)
+        trial, lambda: one_out_of_two_exact(inst, params), params.expected_lengths,
+        _echo(x1, x2, y),
     )
 
 
@@ -260,11 +263,7 @@ def _plan_ne_rrr(config: ExperimentConfig, strategy) -> RunPlan:
     def exact():
         return ne_rrr_exact(gx, gy, msg, params) ** params.repetitions
 
-    def lengths():
-        _, tr = ne_rrr_run(gx, gy, msg, params, RandomSource(config.seed, 7))
-        return tr.lengths()
-
-    return RunPlan(trial, exact, lengths, "RRR", _echo(x, y))
+    return RunPlan(trial, exact, params.expected_lengths, _echo(x, y))
 
 
 def _plan_eq_qq(config: ExperimentConfig, strategy) -> RunPlan:
@@ -278,21 +277,14 @@ def _plan_eq_qq(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = eq_qq_run(x, y, p, spec, reps, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    def exact():
-        return p**reps
-
-    def lengths():
-        _, tr = eq_qq_run(x, y, p, spec, reps, RandomSource(config.seed, 7))
-        return tr.lengths()
-
-    return RunPlan(trial, exact, lengths, "QQ", _echo(x, y))
+    return RunPlan(trial, lambda: p**reps, lambda: eq_qq_lengths(spec), _echo(x, y))
 
 
-def _uqst_params(config: ExperimentConfig, n: int) -> UqstParams:
+def _uqst_params(config: ExperimentConfig, n: int, default_a: int) -> UqstParams:
     opts = config.options
     return UqstParams(
         n=n,
-        a=int(opts.get("a", max(1, n // 4))),
+        a=int(opts.get("a", default_a)),
         eps=float(opts.get("eps", 0.5)),
         delta=float(opts.get("delta", 0.25)),
         scale=config.scale if config.scale is not None else 1.0 / 3200.0,
@@ -300,10 +292,12 @@ def _uqst_params(config: ExperimentConfig, n: int) -> UqstParams:
 
 
 def _plan_uqst(config: ExperimentConfig, strategy) -> RunPlan:
-    params = _uqst_params(config, config.n)
+    params = _uqst_params(config, config.n, max(1, config.n // 4))
+    mode = config.options.get("referee_mode", "swap")
+    if mode not in REFEREE_MODES:
+        raise ConfigError(f"unknown referee_mode {mode!r}; uqst accepts {', '.join(REFEREE_MODES)}")
     strategy = strategy or adv.UqstHonest()
     phi = random_state(config.n, RandomSource(config.seed, _INSTANCE_STREAM).generator())
-    mode = config.options.get("referee_mode", "swap")
 
     def trial(rng):
         outcome = uqst_run(phi, params, strategy, rng, referee_mode=mode)
@@ -313,30 +307,26 @@ def _plan_uqst(config: ExperimentConfig, strategy) -> RunPlan:
             extras["accept_and_far"] = 1.0 if far else 0.0
         return outcome.accepted, extras
 
-    return RunPlan(
-        trial, lambda: None, params.expected_lengths, "RQ", _echo("haar-state", config.n)
-    )
+    return RunPlan(trial, lambda: None, params.expected_lengths, _echo("haar-state", config.n))
 
 
 def _plan_qrq(config: ExperimentConfig, strategy) -> RunPlan:
     spec = CodeSpec.create(config.n)
     fdim = 2 * spec.block_len
-    opts = dict(config.options)
-    opts.setdefault("a", max(2, fdim // 4))
-    config = dataclasses.replace(config, options=opts)
-    params = _uqst_params(config, fdim)
+    params = _uqst_params(config, fdim, max(2, fdim // 4))
     kind = _instance_kind(config, InstanceKind.EQ_PAIR)
     x, y = sample_instance(kind, config.n, RandomSource(config.seed, _INSTANCE_STREAM))
     f_x, f_y = fingerprint(spec, x), fingerprint(spec, y)
     strategy = strategy or adv.UqstHonest()
     if isinstance(strategy, adv.QrqCrossFingerprint):
         strategy = adv.ProductCopies(f_x)
+    reps = config.repetitions
 
     def trial(rng):
-        verdict, _ = qrq_eq_run(x, y, f_x, f_y, params, strategy, rng, config.repetitions)
+        verdict, _ = qrq_eq_run(x, y, f_x, f_y, params, strategy, rng, reps)
         return verdict is Verdict.ACCEPT, {}
 
-    return RunPlan(trial, lambda: None, lambda: qrq_eq_lengths(params), "QRQ", _echo(x, y))
+    return RunPlan(trial, lambda: None, lambda: qrq_eq_lengths(params), _echo(x, y))
 
 
 def _plan_rrq(config: ExperimentConfig, strategy) -> RunPlan:
@@ -356,7 +346,7 @@ def _plan_rrq(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = rrq_eq_run(x, y, f_x, f_y, params, strategy, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    return RunPlan(trial, lambda: None, params.expected_lengths, "RRQ", _echo(x, y))
+    return RunPlan(trial, lambda: None, params.expected_lengths, _echo(x, y))
 
 
 def _plan_disj(config: ExperimentConfig, strategy) -> RunPlan:
@@ -381,36 +371,46 @@ def _plan_disj(config: ExperimentConfig, strategy) -> RunPlan:
         verdict, _ = disj_rrr_run(inst, claim, params, rng)
         return verdict is Verdict.ACCEPT, {}
 
-    def lengths():
-        _, tr = disj_rrr_run(inst, claim, params, RandomSource(config.seed, 7))
-        return tr.lengths()
-
     return RunPlan(
         trial,
         lambda: disj_rrr_soundness_exact(inst, claim, params),
-        lengths,
-        "RRR",
+        params.expected_lengths,
         _echo(x, y),
     )
 
 
-_PLANNERS = {
-    "eq-rr": _plan_eq_rr,
-    "one-of-two": _plan_one_of_two,
-    "ne-rrr": _plan_ne_rrr,
-    "eq-qq": _plan_eq_qq,
-    "uqst": _plan_uqst,
-    "qrq-eq": _plan_qrq,
-    "rrq-eq": _plan_rrq,
-    "disj-rrr": _plan_disj,
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol id's entry: its planner, its letter type, and what it
+    reads of the config beyond the common fields: its OPTIONAL_FIELDS and
+    its option names.  Defaults that depend on n stay in the planner."""
+
+    plan: Callable[[ExperimentConfig, object], RunPlan]
+    protocol_type: str
+    fields: tuple[str, ...] = ()
+    options: tuple[str, ...] = ()
+
+
+_TRANSFER_OPTIONS = ("a", "eps", "delta")
+
+PROTOCOLS = {
+    "eq-rr": Protocol(_plan_eq_rr, "RR", ("instance",)),
+    "one-of-two": Protocol(_plan_one_of_two, "RR", ("instance",)),
+    "ne-rrr": Protocol(_plan_ne_rrr, "RRR", ("instance", "repetitions"), ("rows", "cols")),
+    "eq-qq": Protocol(_plan_eq_qq, "QQ", ("instance", "repetitions")),
+    "uqst": Protocol(_plan_uqst, "RQ", ("scale",), (*_TRANSFER_OPTIONS, "referee_mode")),
+    "qrq-eq": Protocol(_plan_qrq, "QRQ", ("instance", "repetitions", "scale"), _TRANSFER_OPTIONS),
+    "rrq-eq": Protocol(_plan_rrq, "RRQ", ("instance",), ("a", "m_copies")),
+    "disj-rrr": Protocol(_plan_disj, "RRR", ("instance", "scale"), ("alpha",)),
 }
+PROTOCOL_IDS = tuple(PROTOCOLS)
 
 
 def build_plan(config: ExperimentConfig) -> RunPlan:
     """The run's plan; each planner gets the spec's strategy, or None."""
     try:
         strategy = adv.parse_strategy(config.adversary, config.protocol)
-        return _PLANNERS[config.protocol](config, strategy)
+        return PROTOCOLS[config.protocol].plan(config, strategy)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -486,7 +486,7 @@ def run(config: ExperimentConfig) -> TrialReport:
         ci_half_width=ci,
         within_ci=within,
         lengths=plan.lengths(),
-        protocol_type=plan.protocol_type,
+        protocol_type=PROTOCOLS[config.protocol].protocol_type,
         instance_echo=plan.instance_echo,
         extras=extras,
         wall_time_s=time.perf_counter() - t0,

@@ -36,6 +36,8 @@ _STREAM_SHARED_B = 1
 _STREAM_MERLIN = 2
 _STREAM_REFEREE = 3
 
+REFEREE_MODES = ("swap", "project_psi")
+
 
 def _qubits(dim: int) -> int:
     return max(1, (dim - 1).bit_length())
@@ -52,6 +54,12 @@ def eq_qq_round_prob(x: BitString, y: BitString, spec: CodeSpec) -> Fraction:
     d = int((encode_array(spec, x) != encode_array(spec, y)).sum())
     N = spec.block_len
     return Fraction(1, 2) + Fraction((N - d) ** 2, 2 * N * N)
+
+
+def eq_qq_lengths(spec: CodeSpec) -> dict[str, int]:
+    """Closed-form eq-qq message lengths: each player's fingerprint qubits."""
+    qubits = _qubits(2 * spec.block_len)
+    return {"alice": qubits, "bob": qubits}
 
 
 def eq_qq_run(
@@ -171,23 +179,21 @@ class UqstOutcome:
         return out
 
 
-def uqst_honest_message(phi: StateVec, params: UqstParams) -> ProductState:
-    """What the honest prover sends: m identical copies of the state."""
-    return ProductState((phi,) * params.m_copies)
-
-
 def _reject(survivors: int, diagnostics: dict) -> UqstOutcome:
     return UqstOutcome(False, None, survivors, diagnostics)
 
 
 def _verify_blocks(
-    blocks: tuple[StateVec, ...], indices: list[int], v: Subspace, gen
+    blocks: tuple[StateVec, ...], indices: list[int], v: Subspace, gen, sent
 ) -> tuple[list[float], list[tuple[int, StateVec]]]:
     """Measure the indexed blocks with {V, I-V}: each index's survival
     probability and the surviving (index, coords) pairs, in index order.
-    Equal blocks are projected once; one batched draw takes the coins of the
-    non-flagged blocks, the same stream values as one draw per block."""
-    seen = {}
+    Equal blocks are projected once, and blocks equal to the sender's state
+    not at all: `sent` is that (state, projection onto V) pair.  One batched
+    draw takes the coins of the non-flagged blocks, the same stream values
+    as one draw per block."""
+    state, proj = sent
+    seen = {state.amplitudes.tobytes(): proj}
     projs = []
     for j in indices:
         key = blocks[j].amplitudes.tobytes()
@@ -221,7 +227,7 @@ def uqst_run(
     referee_mode "project_psi" replaces step 6's swap test by the two-outcome
     observable projecting onto the described state (optional sharper mode).
     """
-    if referee_mode not in ("swap", "project_psi"):
+    if referee_mode not in REFEREE_MODES:
         raise ValueError(f"unknown referee mode {referee_mode!r}")
     if phi.dim != params.n:
         raise ValueError("state dimension does not match params")
@@ -255,7 +261,7 @@ def uqst_run(
     diagnostics["reserved_block"] = reserved
 
     checked = [j for j in range(params.m_copies) if j != reserved]
-    survivals, survivors = _verify_blocks(message.blocks, checked, v, gen)
+    survivals, survivors = _verify_blocks(message.blocks, checked, v, gen, (phi, sender_proj))
     survivals.insert(reserved, None)
     diagnostics["block_survival_probs"] = survivals
     diagnostics["survivor_blocks"] = [j for j, _ in survivors]
@@ -404,8 +410,9 @@ def rrq_eq_run(
     gen = rng.derive(_STREAM_REFEREE).generator()
     perm = gen.permutation(params.m_copies)
     half = params.m_copies // 2
-    for idx, v, described in ((perm[:half], v_a, described_a), (perm[half:], v_b, described_b)):
-        _, survivors = _verify_blocks(message.blocks, sorted(idx.tolist()), v, gen)
+    for idx, v, described, sent in ((perm[:half], v_a, described_a, (f_x, proj_a)),
+                                    (perm[half:], v_b, described_b, (f_y, proj_b))):
+        _, survivors = _verify_blocks(message.blocks, sorted(idx.tolist()), v, gen, sent)
         if not survivors:
             return Verdict.REJECT, transcript
         psi, coins = dequantize(described), gen.random(len(survivors))

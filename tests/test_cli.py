@@ -70,6 +70,24 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert "uqst accepts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--protocol", "uqst", "--options", '{"referee_mode": "x"}'],
+        ["--protocol", "uqst", "--options", '{"referee_mode": "x"}', "--mode", "exact"],
+        ["--protocol", "ne-rrr", "--options", "3"],
+        ["--protocol", "eq-rr", "--options", "[1]"],
+        ["--protocol", "rrq-eq", "--n", "4", "--options", '{"m_copy": 8}'],
+        ["--protocol", "eq-rr", "--repetitions", "9", "--scale", "0.5"],
+        ["--protocol", "uqst", "--instance", "eq_pair"],
+        ["--protocol", "qrq-eq", "--n", "4", "--options", '{"referee_mode": "swap"}'],
+    ])
+    def test_unread_or_malformed_config_exits_before_any_trial(self, count_calls, capsys, args):
+        import smplab.harness
+
+        plans = count_calls(smplab.harness.RunPlan)
+        assert main(["run", *args, "--trials", "3"]) == EXIT_CONFIG
+        assert not plans
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"protocol": "eq-rr", "n": 16, "trials": 20, "seed": 1}))
@@ -113,6 +131,17 @@ class TestSweepCommand:
         template = {"protocol": "ne-rrr", "n": 16, "trials": 5, "seed": 2}
         cfg.write_text(json.dumps({"template": template, "points": points}))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_unread_option_on_last_point_runs_no_point(self, tmp_path, count_calls):
+        import smplab.harness
+
+        runs = count_calls(smplab.harness.run)
+        cfg = tmp_path / "sweep.json"
+        template = {"protocol": "rrq-eq", "n": 4, "trials": 2, "seed": 2}
+        points = [{}, {"options": {"m_copies": 8}}, {"options": {"m_copy": 8}}]
+        cfg.write_text(json.dumps({"template": template, "points": points}))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not runs
 
     def test_sweep_requires_config(self):
         assert main(["sweep"]) == EXIT_CONFIG

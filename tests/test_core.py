@@ -168,11 +168,6 @@ class TestTranscript:
         with pytest.raises(ValueError):
             Transcript(self._msg(), self._msg(), None, "RRR")
 
-    def test_json_contains_lengths(self):
-        tr = Transcript(self._msg(), self._msg(), None, "RR")
-        data = tr.to_json()
-        assert data["alice"]["length"] == 4 and data["protocol_type"] == "RR"
-
     def test_bad_message_kind(self):
         with pytest.raises(ValueError):
             Message("analog", 4, None)

@@ -52,21 +52,6 @@ class TestPrimes:
             PrimeField(91)
 
 
-class TestFieldAxioms:
-    @given(st.integers(0, 16), st.integers(0, 16), st.integers(0, 16))
-    def test_associativity_and_distributivity(self, a, b, c):
-        assert F17.mul(F17.mul(a, b), c) == F17.mul(a, F17.mul(b, c))
-        assert F17.mul(a, F17.add(b, c)) == F17.add(F17.mul(a, b), F17.mul(a, c))
-
-    @given(st.integers(1, 16))
-    def test_inverses(self, a):
-        assert F17.mul(a, F17.inv(a)) == 1
-
-    def test_no_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            F17.inv(0)
-
-
 def naive_lagrange(table, r, j):
     q = table.field.q
     total = 0

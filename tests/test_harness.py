@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -10,7 +11,9 @@ from smplab import adversaries as adv
 from smplab.acceptance import run_criterion, verify_suite
 from smplab.codes import CodeSpec
 from smplab.harness import (
+    OPTIONAL_FIELDS,
     PROTOCOL_IDS,
+    PROTOCOLS,
     ConfigError,
     ExperimentConfig,
     build_plan,
@@ -40,6 +43,9 @@ class TestConfig:
             ExperimentConfig(protocol="eq-rr", mode="sideways")
         with pytest.raises(ConfigError):
             ExperimentConfig(protocol="eq-rr", trials=0)
+        for protocol in ("ne-rrr", "eq-qq", "qrq-eq"):  # qrq-eq would accept every trial
+            with pytest.raises(ConfigError, match="repetitions must be >= 1"):
+                ExperimentConfig(protocol=protocol, repetitions=0)
 
     def test_unknown_instance_kind(self):
         with pytest.raises(ConfigError, match="unknown instance kind"):
@@ -66,6 +72,24 @@ class TestConfig:
             cfg = ExperimentConfig(protocol=protocol, n=16, trials=10, adversary=adversary)
             with pytest.raises(ConfigError):
                 run(cfg)
+
+    @pytest.mark.parametrize("protocol,fields,accepted", [
+        ("eq-rr", {"repetitions": 9}, "it reads instance"),
+        ("eq-rr", {"scale": 0.5}, "it reads instance"),
+        ("uqst", {"instance": "eq_pair"}, "it reads scale"),
+        ("rrq-eq", {"options": {"m_copy": 8}}, "its options are a, m_copies"),
+        ("qrq-eq", {"options": {"referee_mode": "swap"}}, "its options are a, eps, delta"),
+        ("eq-rr", {"options": {"a": 4}}, "its options are none"),
+        ("ne-rrr", {"options": 3}, "are not a JSON object"),
+        ("eq-rr", {"options": [1]}, "are not a JSON object"),
+    ])
+    def test_unread_config_is_rejected_naming_what_is_read(self, protocol, fields, accepted):
+        with pytest.raises(ConfigError, match=re.escape(accepted)):
+            ExperimentConfig(protocol=protocol, **fields)
+
+    def test_unread_fields_at_their_defaults_pass(self):
+        ExperimentConfig(protocol="eq-rr", repetitions=1, scale=None)
+        ExperimentConfig(protocol="uqst", instance=None)
 
     def test_eq_rr_rejects_adversary(self):
         with pytest.raises(ConfigError):
@@ -136,6 +160,91 @@ class TestRegistry:
                    else f"{protocol} takes no adversary")
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_plan(cfg)
+
+
+class _ReadOptions(dict):
+    """Options that record each name read; a planner must read them by name."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __iter__(self):
+        raise AssertionError("planners read options by name")
+
+    keys = items = values = copy = __iter__
+
+
+class _ReadConfig:
+    """An ExperimentConfig that records each field a planner reads."""
+
+    def __init__(self, config):
+        self._config, self.read, self.options = config, set(), _ReadOptions(config.options)
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+class TestProtocolTable:
+    def test_table_is_the_one_list_of_protocols(self):
+        from smplab.cli import build_parser
+
+        assert PROTOCOL_IDS == tuple(PROTOCOLS)
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        for name in ("run", "sweep"):
+            flag = next(a for a in commands.choices[name]._actions if a.dest == "protocol")
+            assert tuple(flag.choices) == PROTOCOL_IDS
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+    def test_entry_declares_exactly_what_its_planner_reads(self, protocol):
+        entry = PROTOCOLS[protocol]
+        config = _ReadConfig(ExperimentConfig(protocol=protocol, **PROTOCOL_FIELDS[protocol]))
+        entry.plan(config, None)
+        assert config.read & set(OPTIONAL_FIELDS) == set(entry.fields)
+        assert config.options.read == set(entry.options)
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_IDS)
+    def test_record_takes_protocol_type_from_the_table(self, protocol):
+        config = ExperimentConfig(protocol=protocol, trials=1, workers=1,
+                                  **PROTOCOL_FIELDS[protocol])
+        assert run(config).protocol_type == PROTOCOLS[protocol].protocol_type
+
+    @pytest.mark.parametrize("protocol,module,runner", [
+        ("eq-rr", "classical", "eq_rr_run"),
+        ("one-of-two", "classical", "one_out_of_two_run"),
+        ("ne-rrr", "classical", "ne_rrr_run"),
+        ("eq-qq", "quantum", "eq_qq_run"),
+        ("disj-rrr", "classical", "disj_rrr_run"),
+    ])
+    def test_runner_runs_once_per_trial_and_never_for_lengths(
+        self, count_calls, protocol, module, runner
+    ):
+        calls = count_calls(getattr(importlib.import_module(f"smplab.{module}"), runner))
+        for mode, expected in (("monte_carlo", 7), ("exact", 0)):
+            calls.clear()
+            run(ExperimentConfig(protocol=protocol, trials=7, seed=2, mode=mode, workers=1,
+                                 **PROTOCOL_FIELDS[protocol]))
+            assert len(calls) == expected
+
+    def test_malformed_ne_message_records_the_declared_merlin_length(self):
+        adversary = {"variant": "NeArbitrary", **SPECS["NeArbitrary"]}
+        report = run(ExperimentConfig(protocol="ne-rrr", n=16, trials=5, seed=1, mode="both",
+                                      workers=1, adversary=adversary))
+        assert report.lengths == {"alice": 18, "bob": 18, "merlin": 32}
+        assert report.p_hat == 0.0 and report.exact == 0
 
 
 class TestHoeffding:
@@ -289,6 +398,8 @@ class TestSweep:
         5,
         {"options": 3},
         {"instance": "bogus"},
+        {"options": {"m_copies": 8}},
+        {"scale": 0.5},
     ])
     def test_bad_last_point_fails_before_any_run(self, count_calls, bad):
         import smplab.harness

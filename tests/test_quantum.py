@@ -36,7 +36,6 @@ from smplab.quantum import (
     eq_qq_run,
     qrq_eq_run,
     rrq_eq_run,
-    uqst_honest_message,
     uqst_run,
 )
 
@@ -184,7 +183,7 @@ class TestUqstRun:
             UqstOutcome(accepted=True, output_state=None, survivors=3)
 
     def test_honest_message_shape(self):
-        msg = uqst_honest_message(self.PHI, DESK)
+        msg = UqstHonest().blocks(self.PHI, DESK, None)
         assert msg.m_copies == DESK.m_copies
         assert all(fidelity(b, self.PHI) == pytest.approx(1) for b in msg.blocks)
 
@@ -363,7 +362,8 @@ class TestVerifyBlocks:
         loop_gen, kernel_gen = (RandomSource(seed, 1).generator() for _ in range(2))
 
         want_probs, want = verify_blocks_loop(blocks, indices, v, loop_gen)
-        probs, got = smplab.quantum._verify_blocks(tuple(blocks), indices, v, kernel_gen)
+        sent = (shared[0], project(shared[0], v))  # the sender's cached projection
+        probs, got = smplab.quantum._verify_blocks(tuple(blocks), indices, v, kernel_gen, sent)
 
         assert probs == want_probs
         assert [j for j, _ in got] == [j for j, _ in want]
@@ -396,6 +396,28 @@ class TestProjectionCount:
             calls.clear()
             rrq_eq_run(x, x, f_x, f_x, params, UqstHonest(), RandomSource(95).derive(1, t))
             assert 0 < len(calls) <= 4
+
+    def test_honest_uqst_trial_projects_only_the_sender_state(self, count_calls):
+        calls = count_calls(smplab.qsim.project)
+        for t in range(5):
+            calls.clear()
+            uqst_run(self.PHI, DESK, UqstHonest(), RandomSource(96).derive(1, t))
+            assert len(calls) == 1
+
+    def test_honest_equal_pair_rrq_trial_projects_only_the_senders(self, count_calls):
+        spec = CodeSpec.create(16)
+        x = sample_instance(InstanceKind.EQ_PAIR, 16, RandomSource(97))[0]
+        f_x, f_y = fingerprint(spec, x), fingerprint(spec, x)  # equal, separate arrays
+        params = RrqParams(n=2 * spec.block_len, a=16, m_copies=32)
+        calls = count_calls(smplab.qsim.project)
+        verdicts = set()
+        for t in range(20):
+            calls.clear()
+            verdict, _ = rrq_eq_run(x, x, f_x, f_y, params, UqstHonest(),
+                                    RandomSource(98).derive(1, t))
+            verdicts.add(verdict)
+            assert len(calls) == 2
+        assert Verdict.ACCEPT in verdicts  # some trial verified both halves
 
 
 class TestQrqRepetitions:
